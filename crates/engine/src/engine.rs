@@ -12,8 +12,8 @@
 use densekv_kv::hash::jenkins_oaat;
 use densekv_kv::lru::EvictionPolicy;
 use densekv_kv::store::{
-    AccessTrace, GetHit, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES,
-    MAX_ITEM_FOOTPRINT_BYTES, MAX_KEY_BYTES,
+    GetHit, StoreConfig, StoreError, StoreStats, ITEM_HEADER_BYTES, MAX_ITEM_FOOTPRINT_BYTES,
+    MAX_KEY_BYTES,
 };
 use densekv_kv::StoreBackend;
 
@@ -137,9 +137,9 @@ impl Engine {
         (hash & self.mask) as usize
     }
 
-    /// Probes for `key`, lazily expiring a stale match. Returns the item
-    /// slot and the number of buckets probed.
-    fn lookup(&mut self, key: &[u8], hash: u64, now: u64) -> (Option<u32>, usize) {
+    /// Probes for `key`, lazily expiring a stale match, and counts the
+    /// probe length. Returns the live item slot.
+    fn lookup(&mut self, key: &[u8], hash: u64, now: u64) -> Option<u32> {
         let home = self.home(hash);
         let mask = self.mask as usize;
         let mut probes = PROBE_LIMIT;
@@ -163,18 +163,16 @@ impl Engine {
             }
         }
         self.probe_hist[probes - 1] += 1;
-        if let Some(slot) = found {
-            let item = self.items[slot as usize].as_ref().expect("live");
-            if item.is_expired(now) {
-                let freed = item.footprint();
-                self.remove_slot(slot);
-                self.stats.expirations += 1;
-                self.stats.expired_bytes += freed;
-                return (None, probes);
-            }
-            return (Some(slot), probes);
+        let slot = found?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        if item.is_expired(now) {
+            let freed = item.footprint();
+            self.remove_slot(slot);
+            self.stats.expirations += 1;
+            self.stats.expired_bytes += freed;
+            return None;
         }
-        (None, probes)
+        Some(slot)
     }
 
     /// Tries to place `slot` within the probe window; `false` means the
@@ -311,8 +309,7 @@ impl Engine {
 
         // Replace any existing copy first (frees its page) — as in the
         // model store, a failed allocation destroys the old item.
-        let (existing, _) = self.lookup(key, hash, now);
-        if let Some(slot) = existing {
+        if let Some(slot) = self.lookup(key, hash, now) {
             self.remove_slot(slot);
         }
 
@@ -355,38 +352,21 @@ impl Engine {
 }
 
 impl StoreBackend for Engine {
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
+    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit<'_>> {
         let hash = jenkins_oaat(key);
-        let (slot, probes) = self.lookup(key, hash, now);
-        match slot {
-            Some(slot) => {
-                let item = self.items[slot as usize].as_ref().expect("live");
-                let class = item.class();
-                let vlen = u64::from(item.vlen);
-                let home = self.home(hash);
-                let mask = self.mask as usize;
-                let trace = AccessTrace {
-                    bucket_offset: home as u64 * 8,
-                    chain_offsets: (1..probes)
-                        .map(|i| (((home + i) & mask) * 8) as u64)
-                        .collect(),
-                    value: Some((
-                        AccessTrace::SLAB_REGION_OFFSET + self.tiers.byte_offset(item.vref),
-                        vlen,
-                    )),
-                };
-                let value = self.tiers.read(item.vref, item.vlen as usize).to_vec();
-                let (flags, cas) = (item.flags, item.cas);
-                self.policies[class].on_access(slot);
-                self.stats.get_hits += 1;
-                self.stats.bytes_read += vlen;
-                Some(GetHit::new(value, flags, cas, trace))
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+        let Some(slot) = self.lookup(key, hash, now) else {
+            self.stats.get_misses += 1;
+            return None;
+        };
+        let item = self.items[slot as usize].as_ref().expect("live");
+        self.policies[item.class()].on_access(slot);
+        self.stats.get_hits += 1;
+        self.stats.bytes_read += u64::from(item.vlen);
+        Some(GetHit::new(
+            self.tiers.read(item.vref, item.vlen as usize),
+            item.flags,
+            item.cas,
+        ))
     }
 
     fn set_with_flags(
@@ -408,7 +388,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_some() {
+        if self.lookup(key, hash, now).is_some() {
             return Err(StoreError::Exists);
         }
         self.do_set(key, value, 0, ttl_secs, now)
@@ -422,7 +402,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_none() {
+        if self.lookup(key, hash, now).is_none() {
             return Err(StoreError::NotFound);
         }
         self.do_set(key, value, 0, ttl_secs, now)
@@ -436,8 +416,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self.lookup(key, hash, now).ok_or(StoreError::NotFound)?;
         let (mut value, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
             (
@@ -466,8 +445,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<(), StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self.lookup(key, hash, now).ok_or(StoreError::NotFound)?;
         let current = self.items[slot as usize].as_ref().expect("live").cas;
         if current != cas {
             return Err(StoreError::CasMismatch);
@@ -483,8 +461,7 @@ impl StoreBackend for Engine {
         now: u64,
     ) -> Result<u64, StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self.lookup(key, hash, now).ok_or(StoreError::NotFound)?;
         let (current, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
             let value = self.tiers.read(item.vref, item.vlen as usize);
@@ -504,8 +481,7 @@ impl StoreBackend for Engine {
 
     fn touch(&mut self, key: &[u8], ttl_secs: Option<u64>, now: u64) -> bool {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        match slot {
+        match self.lookup(key, hash, now) {
             Some(slot) => {
                 let item = self.items[slot as usize].as_mut().expect("live");
                 item.expires_at = ttl_secs.map(|t| now + t);
@@ -520,8 +496,7 @@ impl StoreBackend for Engine {
         let hash = jenkins_oaat(key);
         // As in the model store: a delete finds any TTL'd item already
         // expired, so it answers "not found" and counts an expiration.
-        let (slot, _) = self.lookup(key, hash, u64::MAX.saturating_sub(1));
-        match slot {
+        match self.lookup(key, hash, u64::MAX.saturating_sub(1)) {
             Some(slot) => {
                 self.remove_slot(slot);
                 self.stats.deletes += 1;

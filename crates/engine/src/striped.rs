@@ -107,7 +107,7 @@ impl SharedStore for StripedEngine {
         self.stripes[self.stripe_of(key)]
             .lock()
             .get(key, now)
-            .map(|hit| hit.into_value())
+            .map(|hit| hit.value().to_vec())
     }
 
     fn set(&self, key: &[u8], value: Vec<u8>, now: u64) -> Result<(), StoreError> {

@@ -222,22 +222,6 @@ impl TierSet {
         }
     }
 
-    /// Synthetic byte offset of `vref` within the engine's value
-    /// address space (each class gets a disjoint 16 GB region), for
-    /// [`densekv_kv::store::AccessTrace`] value addresses.
-    #[must_use]
-    pub fn byte_offset(&self, vref: ValueRef) -> u64 {
-        const REGION: u64 = 1 << 34;
-        match vref {
-            ValueRef::Tier { tier, page } => {
-                u64::from(tier) * REGION + page * self.tiers[tier as usize].page_bytes
-            }
-            ValueRef::Overflow { slot } => {
-                OVERFLOW_TIER as u64 * REGION + u64::from(slot) * (1 << 20)
-            }
-        }
-    }
-
     /// Pages currently allocated in tier `t`.
     #[must_use]
     pub fn tier_used_pages(&self, t: usize) -> u64 {
@@ -356,21 +340,5 @@ mod tests {
             tiers.alloc(&vec![8u8; 1_000_000]).is_some(),
             "freeing the overflow value returned its budget"
         );
-    }
-
-    #[test]
-    fn byte_offsets_are_disjoint_per_class() {
-        let mut tiers = TierSet::new(4 << 20);
-        let small = tiers.alloc(&[1; 8]).unwrap();
-        let mid = tiers.alloc(&[2; 300]).unwrap();
-        let big = tiers.alloc(&vec![3u8; 8000]).unwrap();
-        let offsets = [
-            tiers.byte_offset(small),
-            tiers.byte_offset(mid),
-            tiers.byte_offset(big),
-        ];
-        assert_eq!(offsets[0] >> 34, 0);
-        assert_eq!(offsets[1] >> 34, 4, "300 B lands in the 512 B tier");
-        assert_eq!(offsets[2] >> 34, OVERFLOW_TIER as u64);
     }
 }

@@ -115,18 +115,13 @@ impl RefStore {
 }
 
 impl StoreBackend for RefStore {
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
+    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit<'_>> {
         self.expire(key, now);
         match self.map.get(key) {
             Some(item) => {
                 self.stats.get_hits += 1;
                 self.stats.bytes_read += item.value.len() as u64;
-                Some(GetHit::new(
-                    item.value.clone(),
-                    item.flags,
-                    item.cas,
-                    Default::default(),
-                ))
+                Some(GetHit::new(&item.value, item.flags, item.cas))
             }
             None => {
                 self.stats.get_misses += 1;

@@ -23,7 +23,9 @@ use crate::store::{GetHit, KvStore, StoreError, StoreStats};
 /// this agreement over random command sequences.
 pub trait StoreBackend {
     /// Fetches `key`, returning the hit (value, flags, CAS) if live.
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit>;
+    /// The value is borrowed from the store, so the caller renders it
+    /// before its next store call (under the same shard lock).
+    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit<'_>>;
 
     /// Stores `key` → `value` with client flags and optional TTL.
     ///
@@ -139,7 +141,7 @@ pub trait StoreBackend {
 }
 
 impl StoreBackend for KvStore {
-    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
+    fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit<'_>> {
         KvStore::get(self, key, now)
     }
 

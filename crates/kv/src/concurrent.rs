@@ -67,7 +67,10 @@ impl GlobalLockStore {
 
 impl SharedStore for GlobalLockStore {
     fn get(&self, key: &[u8], now: u64) -> Option<Vec<u8>> {
-        self.inner.lock().get(key, now).map(|hit| hit.into_value())
+        self.inner
+            .lock()
+            .get(key, now)
+            .map(|hit| hit.value().to_vec())
     }
 
     fn set(&self, key: &[u8], value: Vec<u8>, now: u64) -> Result<(), StoreError> {
@@ -156,7 +159,7 @@ impl SharedStore for StripedStore {
         self.shards[self.shard_of(key)]
             .lock()
             .get(key, now)
-            .map(|hit| hit.into_value())
+            .map(|hit| hit.value().to_vec())
     }
 
     fn set(&self, key: &[u8], value: Vec<u8>, now: u64) -> Result<(), StoreError> {

@@ -37,13 +37,89 @@ pub enum StoreVerb {
     Cas,
 }
 
+/// The keys of a `get`/`gets` line: the raw key text, split on demand.
+///
+/// The whole key text is one allocation; iterating borrows each key
+/// out of it, so a 24-key multiget parses without 24 key copies. Keys
+/// are separated by runs of spaces, exactly as the rest of the command
+/// line is tokenized.
+///
+/// # Examples
+///
+/// ```
+/// use densekv_kv::protocol::KeyList;
+///
+/// let keys = KeyList::new(b"  a bb  ccc ").expect("holds keys");
+/// assert_eq!(keys.iter().collect::<Vec<_>>(), [&b"a"[..], b"bb", b"ccc"]);
+/// assert!(KeyList::new(b"   ").is_none());
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct KeyList {
+    /// From the first key's first byte to the last key's last byte.
+    text: Bytes,
+}
+
+impl KeyList {
+    /// Copies space-separated key text; `None` when it holds no key.
+    #[must_use]
+    pub fn new(text: &[u8]) -> Option<Self> {
+        let start = text.iter().position(|&b| b != b' ')?;
+        let end = text.iter().rposition(|&b| b != b' ')? + 1;
+        Some(KeyList {
+            text: Bytes::copy_from_slice(&text[start..end]),
+        })
+    }
+
+    /// The keys, in request order.
+    pub fn iter(&self) -> Keys<'_> {
+        Keys { rest: &self.text }
+    }
+}
+
+impl<'a> IntoIterator for &'a KeyList {
+    type Item = &'a [u8];
+    type IntoIter = Keys<'a>;
+
+    fn into_iter(self) -> Keys<'a> {
+        self.iter()
+    }
+}
+
+impl core::fmt::Debug for KeyList {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list()
+            .entries(self.iter().map(|key| key.escape_ascii().to_string()))
+            .finish()
+    }
+}
+
+/// Iterator over space-separated tokens: the keys of a [`KeyList`], and
+/// the words of every command line.
+#[derive(Debug, Clone)]
+pub struct Keys<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Keys<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let start = self.rest.iter().position(|&b| b != b' ')?;
+        let rest = &self.rest[start..];
+        let end = rest.iter().position(|&b| b == b' ').unwrap_or(rest.len());
+        let (token, tail) = rest.split_at(end);
+        self.rest = tail;
+        Some(token)
+    }
+}
+
 /// A parsed client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `get <key>+` — fetch one or more keys.
     Get {
         /// Keys requested.
-        keys: Vec<Bytes>,
+        keys: KeyList,
         /// Whether CAS tokens were requested (`gets`).
         with_cas: bool,
     },
@@ -168,7 +244,7 @@ pub enum Parsed {
 /// let mut buf = BytesMut::from(&b"get user:42\r\n"[..]);
 /// match parse_command(&mut buf)? {
 ///     Parsed::Complete(Command::Get { keys, .. }) => {
-///         assert_eq!(&keys[0][..], b"user:42");
+///         assert_eq!(keys.iter().collect::<Vec<_>>(), [b"user:42"]);
 ///     }
 ///     other => panic!("unexpected: {other:?}"),
 /// }
@@ -186,21 +262,20 @@ pub fn parse_command(buf: &mut BytesMut) -> Result<Parsed, ProtocolError> {
     }
 
     // Peek the line without consuming: `set` needs the data block too.
-    let line: Vec<u8> = buf[..line_end].to_vec();
-    let mut parts = line.split(|&b| b == b' ').filter(|token| !token.is_empty());
+    // Tokens borrow the buffer; each arm copies what it keeps before
+    // advancing past the line.
+    let mut parts = Keys {
+        rest: &buf[..line_end],
+    };
     let verb = parts.next().unwrap_or(b"");
 
     match verb {
         b"get" | b"gets" => {
-            let keys: Vec<Bytes> = parts.map(Bytes::copy_from_slice).collect();
-            if keys.is_empty() {
-                return Err(ProtocolError::BadArguments("get needs at least one key"));
-            }
+            let keys = KeyList::new(parts.rest)
+                .ok_or(ProtocolError::BadArguments("get needs at least one key"))?;
+            let with_cas = verb == b"gets";
             buf.advance(line_end + 2);
-            Ok(Parsed::Complete(Command::Get {
-                keys,
-                with_cas: verb == b"gets",
-            }))
+            Ok(Parsed::Complete(Command::Get { keys, with_cas }))
         }
         b"set" | b"add" | b"replace" | b"append" | b"prepend" | b"cas" => {
             let store_verb = match verb {
@@ -332,19 +407,41 @@ fn parse_u64(token: Option<&[u8]>, what: &'static str) -> Result<u64, ProtocolEr
         .ok_or(ProtocolError::BadArguments(what))
 }
 
-/// Renders a `VALUE` block for one GET hit.
-pub fn render_value(out: &mut BytesMut, key: &[u8], hit: &GetHit, with_cas: bool) {
+/// Renders a `VALUE` block for one GET hit: the header, then the value
+/// copied once, straight from the store into `out`.
+pub fn render_value(out: &mut BytesMut, key: &[u8], hit: &GetHit<'_>, with_cas: bool) {
+    let value = hit.value();
+    // "VALUE " + key + three space-led decimals (at most 20 digits
+    // each) + the two CRLFs.
+    out.reserve(6 + key.len() + 3 * 21 + value.len() + 4);
     out.put_slice(b"VALUE ");
     out.put_slice(key);
+    out.put_u8(b' ');
+    put_decimal(out, u64::from(hit.flags()));
+    out.put_u8(b' ');
+    put_decimal(out, value.len() as u64);
     if with_cas {
-        out.put_slice(
-            format!(" {} {} {}\r\n", hit.flags(), hit.value().len(), hit.cas()).as_bytes(),
-        );
-    } else {
-        out.put_slice(format!(" {} {}\r\n", hit.flags(), hit.value().len()).as_bytes());
+        out.put_u8(b' ');
+        put_decimal(out, hit.cas());
     }
-    out.put_slice(hit.value());
     out.put_slice(b"\r\n");
+    out.put_slice(value);
+    out.put_slice(b"\r\n");
+}
+
+/// Appends `n` in decimal, without going through `format!`.
+fn put_decimal(out: &mut BytesMut, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put_slice(&digits[at..]);
 }
 
 /// Terminates a GET response.
@@ -391,7 +488,7 @@ pub fn render_store_error(out: &mut BytesMut, err: &StoreError) {
 
 /// Renders an `incr`/`decr` result.
 pub fn render_number(out: &mut BytesMut, value: u64) {
-    out.put_slice(value.to_string().as_bytes());
+    put_decimal(out, value);
     out.put_slice(b"\r\n");
 }
 
@@ -414,7 +511,7 @@ pub fn render_error(out: &mut BytesMut, err: &ProtocolError) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{KvStore, StoreConfig};
+    use crate::store::{KvStore, StoreConfig, MAX_KEY_BYTES};
 
     fn parse_one(input: &[u8]) -> Result<Parsed, ProtocolError> {
         let mut buf = BytesMut::from(input);
@@ -425,15 +522,15 @@ mod tests {
     fn get_single_and_multi() {
         match parse_one(b"get a\r\n").unwrap() {
             Parsed::Complete(Command::Get { keys, with_cas }) => {
-                assert_eq!(keys.len(), 1);
+                assert_eq!(keys.iter().count(), 1);
                 assert!(!with_cas);
             }
             other => panic!("{other:?}"),
         }
         match parse_one(b"gets a bb ccc\r\n").unwrap() {
             Parsed::Complete(Command::Get { keys, with_cas }) => {
-                assert_eq!(keys.len(), 3);
-                assert_eq!(&keys[2][..], b"ccc");
+                let keys: Vec<&[u8]> = keys.iter().collect();
+                assert_eq!(keys, [&b"a"[..], b"bb", b"ccc"]);
                 assert!(with_cas);
             }
             other => panic!("{other:?}"),
@@ -746,6 +843,184 @@ mod tests {
                     buf.len() <= MAX_LINE_BYTES + MAX_VALUE_BYTES as usize + 2 + 16
                 );
             }
+        }
+    }
+
+    /// A `get` parse outcome: the keys and `gets`-ness of a complete
+    /// line, `None` for an incomplete one, or the error.
+    type GetParse = Result<Option<(Vec<Vec<u8>>, bool)>, ProtocolError>;
+
+    /// The `get` tokenizer `parse_command` used before [`KeyList`]: copy
+    /// the line, split it on single spaces, drop the empty tokens and
+    /// copy every key. Returns the outcome and the bytes consumed.
+    fn seed_parse_get(buf: &[u8]) -> (GetParse, usize) {
+        let Some(line_end) = buf.windows(2).position(|w| w == b"\r\n") else {
+            if buf.len() > MAX_LINE_BYTES {
+                return (Err(ProtocolError::LineTooLong), 0);
+            }
+            return (Ok(None), 0);
+        };
+        if line_end > MAX_LINE_BYTES {
+            return (Err(ProtocolError::LineTooLong), 0);
+        }
+        let line: Vec<u8> = buf[..line_end].to_vec();
+        let mut parts = line.split(|&b| b == b' ').filter(|token| !token.is_empty());
+        let verb = parts.next().unwrap_or(b"");
+        match verb {
+            b"get" | b"gets" => {
+                let keys: Vec<Vec<u8>> = parts.map(<[u8]>::to_vec).collect();
+                if keys.is_empty() {
+                    return (
+                        Err(ProtocolError::BadArguments("get needs at least one key")),
+                        0,
+                    );
+                }
+                (Ok(Some((keys, verb == b"gets"))), line_end + 2)
+            }
+            other => (
+                Err(ProtocolError::UnknownCommand(
+                    String::from_utf8_lossy(other).into_owned(),
+                )),
+                0,
+            ),
+        }
+    }
+
+    /// One `get`/`gets` input for the tokenizer equivalence test, from
+    /// `(verb, leading spaces, keys, separator widths, trailing spaces,
+    /// ending)`: key lengths include 0 (a spaces-only key list) and
+    /// `MAX_KEY_BYTES`; endings pad the line to one byte under, at, and
+    /// over `MAX_LINE_BYTES`, drop the CRLF, or append a second command.
+    fn get_line() -> impl proptest::Strategy<Value = Vec<u8>> {
+        use proptest::Strategy as _;
+        let key = (0u8..8, proptest::any::<u8>()).prop_map(|(size, byte)| {
+            let len = match size {
+                0 => MAX_KEY_BYTES,
+                1 => MAX_KEY_BYTES - 1,
+                2 => 0,
+                n => usize::from(n),
+            };
+            let c = b"abcxyz019:_-.\x00\xff"[usize::from(byte) % 15];
+            vec![c; len]
+        });
+        (
+            0u8..4,
+            0u8..3,
+            proptest::collection::vec(key, 0..12),
+            proptest::collection::vec(1u8..4, 12),
+            (0u8..3, 0u8..7),
+        )
+            .prop_map(|(verb, lead, keys, gaps, (trail, ending))| {
+                let mut line = vec![b' '; usize::from(lead)];
+                line.extend_from_slice(match verb {
+                    0 | 1 => &b"get"[..],
+                    2 => b"gets",
+                    _ => b"get\rx",
+                });
+                for (key, gap) in keys.iter().zip(&gaps) {
+                    line.extend(std::iter::repeat_n(b' ', usize::from(*gap)));
+                    line.extend_from_slice(key);
+                }
+                line.extend(std::iter::repeat_n(b' ', usize::from(trail)));
+                match ending {
+                    0..=2 => {
+                        // Pad with spaces or one long key to MAX_LINE_BYTES - 1,
+                        // MAX_LINE_BYTES or MAX_LINE_BYTES + 1.
+                        let target = MAX_LINE_BYTES + usize::from(ending) - 1;
+                        if line.len() < target {
+                            let pad = if trail == 0 { b'k' } else { b' ' };
+                            line.push(b' ');
+                            line.resize(target, pad);
+                        }
+                        line.extend_from_slice(b"\r\n");
+                    }
+                    3 => {}
+                    4 => line.extend_from_slice(b"\r\nget next\r\n"),
+                    _ => line.extend_from_slice(b"\r\n"),
+                }
+                line
+            })
+    }
+
+    /// Parses `input` both ways: same keys or error, same bytes consumed.
+    fn assert_parses_like_the_seed(input: &[u8]) {
+        let (expected, consumed) = seed_parse_get(input);
+        let mut buf = BytesMut::from(input);
+        let got = parse_command(&mut buf).map(|parsed| match parsed {
+            Parsed::Complete(Command::Get { keys, with_cas }) => Some((
+                keys.iter().map(<[u8]>::to_vec).collect::<Vec<_>>(),
+                with_cas,
+            )),
+            Parsed::Complete(other) => panic!("not a get: {other:?}"),
+            Parsed::Incomplete => None,
+        });
+        let shown = input.escape_ascii().to_string();
+        assert_eq!(got, expected, "{shown}");
+        assert_eq!(input.len() - buf.len(), consumed, "{shown}");
+    }
+
+    proptest::proptest! {
+        /// The `KeyList` fast path yields the seed tokenizer's keys and
+        /// errors, and consumes the same bytes.
+        #[test]
+        fn key_list_parse_matches_the_seed_tokenizer(input in get_line()) {
+            assert_parses_like_the_seed(&input);
+        }
+    }
+
+    #[test]
+    fn key_list_edge_cases_match_the_seed_tokenizer() {
+        for input in [
+            &b"get\r\n"[..],
+            b"gets\r\n",
+            b"get    \r\n",
+            b"   get a\r\n",
+            b"get a   \r\n",
+            b"gets  a  b\r\n",
+            b"get\ta\r\n",
+            b"getsa b\r\n",
+        ] {
+            assert_parses_like_the_seed(input);
+        }
+    }
+
+    #[test]
+    fn render_value_is_byte_identical_to_format() {
+        let max = vec![b'v'; MAX_VALUE_BYTES as usize];
+        for flags in [0, 1, u32::MAX] {
+            for value in [&b""[..], b"x", &max] {
+                for cas in [0, 1, u64::MAX] {
+                    for with_cas in [false, true] {
+                        let hit = GetHit::new(value, flags, cas);
+                        // Append after earlier replies, as a pipelined
+                        // connection does.
+                        let mut out = BytesMut::from(&b"END\r\n"[..]);
+                        render_value(&mut out, b"key:1", &hit, with_cas);
+                        let mut expected = b"END\r\nVALUE key:1".to_vec();
+                        if with_cas {
+                            expected.extend_from_slice(
+                                format!(" {} {} {}\r\n", flags, value.len(), cas).as_bytes(),
+                            );
+                        } else {
+                            expected.extend_from_slice(
+                                format!(" {} {}\r\n", flags, value.len()).as_bytes(),
+                            );
+                        }
+                        expected.extend_from_slice(value);
+                        expected.extend_from_slice(b"\r\n");
+                        assert!(
+                            out[..] == expected[..],
+                            "flags {flags} len {} cas {cas} with_cas {with_cas}",
+                            value.len()
+                        );
+                    }
+                }
+            }
+        }
+        for n in [0, 9, 10, u64::from(u32::MAX), u64::MAX] {
+            let mut out = BytesMut::new();
+            render_number(&mut out, n);
+            assert_eq!(&out[..], format!("{n}\r\n").as_bytes());
         }
     }
 

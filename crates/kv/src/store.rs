@@ -1,10 +1,13 @@
 //! The key-value store: Memcached 1.4 semantics over the slab allocator,
 //! hash table, and eviction policies.
 //!
-//! Every operation returns (alongside its result) an [`AccessTrace`] — the
-//! byte offsets of the hash bucket, chain entries, item header, and value
-//! the operation touched. The simulator feeds those addresses to the cache
-//! and memory-device models, making the timing model execution-driven.
+//! The simulator's operations return (alongside their result) an
+//! [`AccessTrace`] — the byte offsets of the hash bucket, chain entries,
+//! item header, and value the operation touched: [`KvStore::get_traced`]
+//! for GETs, [`SetOutcome::trace`] for stores. The simulator feeds those
+//! addresses to the cache and memory-device models, making the timing
+//! model execution-driven. The protocol's [`KvStore::get`] skips the
+//! trace and borrows the value in place.
 
 use core::fmt;
 
@@ -215,31 +218,30 @@ impl Item {
     }
 }
 
-/// A successful GET.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GetHit {
-    value: Vec<u8>,
+/// A successful GET: the stored value borrowed in place, with its
+/// flags and CAS token.
+///
+/// The borrow ties the hit to the store (and, behind a shard lock, to
+/// the lock guard), so a server renders the value straight into its
+/// reply buffer before unlocking — one copy per key, no owned result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GetHit<'a> {
+    value: &'a [u8],
     flags: u32,
     cas: u64,
-    trace: AccessTrace,
 }
 
-impl GetHit {
+impl<'a> GetHit<'a> {
     /// Builds a hit from its parts — how alternative backends (the
     /// [`crate::backend::StoreBackend`] implementations outside this
-    /// crate) construct GET results without access to private fields.
-    pub fn new(value: Vec<u8>, flags: u32, cas: u64, trace: AccessTrace) -> Self {
-        GetHit {
-            value,
-            flags,
-            cas,
-            trace,
-        }
+    /// crate) hand out GET results without access to private fields.
+    pub fn new(value: &'a [u8], flags: u32, cas: u64) -> Self {
+        GetHit { value, flags, cas }
     }
 
-    /// The value bytes.
-    pub fn value(&self) -> &[u8] {
-        &self.value
+    /// The value bytes, as stored.
+    pub fn value(&self) -> &'a [u8] {
+        self.value
     }
 
     /// The client-opaque flags stored with the item.
@@ -250,16 +252,6 @@ impl GetHit {
     /// The CAS token (for `gets`/`cas`).
     pub fn cas(&self) -> u64 {
         self.cas
-    }
-
-    /// The addresses the lookup touched.
-    pub fn trace(&self) -> &AccessTrace {
-        &self.trace
-    }
-
-    /// Consumes the hit, returning the value.
-    pub fn into_value(self) -> Vec<u8> {
-        self.value
     }
 }
 
@@ -363,23 +355,15 @@ impl KvStore {
         item.expires_at.is_some_and(|t| t <= now)
     }
 
-    /// Looks up a live item slot, lazily expiring a stale one. Returns the
-    /// slot and the trace of the walk.
-    fn lookup(&mut self, key: &[u8], hash: u64, now: u64) -> (Option<u32>, AccessTrace) {
-        let mut trace = AccessTrace::default();
-        let slot = self.lookup_into(key, hash, now, &mut trace);
-        (slot, trace)
-    }
-
-    /// [`KvStore::lookup`] writing into a caller-owned trace, so hot
-    /// paths reuse the chain-offsets buffer instead of allocating one
-    /// per request.
-    fn lookup_into(
+    /// Looks up a live item slot, lazily expiring a stale one. With a
+    /// `trace`, also records the walk into it (reusing its buffer); the
+    /// protocol-only verbs pass `None` and skip the bookkeeping.
+    fn lookup(
         &mut self,
         key: &[u8],
         hash: u64,
         now: u64,
-        trace: &mut AccessTrace,
+        mut trace: Option<&mut AccessTrace>,
     ) -> Option<u32> {
         let items = &self.items;
         let found = self.table.find_with(hash, |slot| {
@@ -387,86 +371,66 @@ impl KvStore {
                 .as_ref()
                 .is_some_and(|item| item.key == key)
         });
-        trace.bucket_offset = self.bucket_offset(hash);
-        trace.chain_offsets.clear();
-        trace.value = None;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.bucket_offset = self.bucket_offset(hash);
+            trace.chain_offsets.clear();
+            trace.value = None;
+        }
+        let slot = found.slot?;
+        let item = self.items[slot as usize].as_ref().expect("found slot live");
         // Reconstruct chain-walk addresses: we log the matched item's
         // header (dependent loads along the chain are represented by the
         // probe count).
-        if let Some(slot) = found.slot {
-            let item = self.items[slot as usize].as_ref().expect("found slot live");
+        if let Some(trace) = trace {
+            let header = self.header_offset(item.addr);
             for _ in 1..found.probes {
                 // Probed-but-unmatched headers: charge one header line each;
                 // we use the matched item's neighbourhood as a proxy address.
-                trace.chain_offsets.push(self.header_offset(item.addr));
+                trace.chain_offsets.push(header);
             }
-            trace.chain_offsets.push(self.header_offset(item.addr));
-            if Self::is_expired(item, now) {
-                let freed = item.footprint();
-                self.remove_slot(slot, hash);
-                self.stats.expirations += 1;
-                self.stats.expired_bytes += freed;
-                return None;
-            }
-            return Some(slot);
+            trace.chain_offsets.push(header);
         }
-        None
+        if Self::is_expired(item, now) {
+            let freed = item.footprint();
+            self.remove_slot(slot, hash);
+            self.stats.expirations += 1;
+            self.stats.expired_bytes += freed;
+            return None;
+        }
+        Some(slot)
     }
 
-    /// Fetches `key`, returning the value and trace on a live hit.
-    pub fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit> {
+    /// The GET path [`KvStore::get`] and [`KvStore::get_traced`] share:
+    /// one lookup with lazy expiry, the LRU touch, and the hit/miss
+    /// counters. Returns the live slot on a hit.
+    fn get_slot(&mut self, key: &[u8], now: u64, trace: Option<&mut AccessTrace>) -> Option<u32> {
         let hash = jenkins_oaat(key);
-        let (slot, mut trace) = self.lookup(key, hash, now);
-        match slot {
-            Some(slot) => {
-                let class = {
-                    let item = self.items[slot as usize].as_ref().expect("live");
-                    trace.value = Some((self.value_offset(item), item.value.len() as u64));
-                    item.addr.class
-                };
-                self.policies[class as usize].on_access(slot);
-                self.stats.get_hits += 1;
-                let item = self.items[slot as usize].as_ref().expect("live");
-                self.stats.bytes_read += item.value.len() as u64;
-                Some(GetHit {
-                    value: item.value.clone(),
-                    flags: item.flags,
-                    cas: item.cas,
-                    trace,
-                })
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+        let Some(slot) = self.lookup(key, hash, now, trace) else {
+            self.stats.get_misses += 1;
+            return None;
+        };
+        let item = self.items[slot as usize].as_ref().expect("live");
+        self.policies[item.addr.class as usize].on_access(slot);
+        self.stats.get_hits += 1;
+        self.stats.bytes_read += item.value.len() as u64;
+        Some(slot)
+    }
+
+    /// Fetches `key`, borrowing the stored value on a live hit.
+    pub fn get(&mut self, key: &[u8], now: u64) -> Option<GetHit<'_>> {
+        let slot = self.get_slot(key, now, None)?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        Some(GetHit::new(&item.value, item.flags, item.cas))
     }
 
     /// [`KvStore::get`] for timing-model callers: identical side
-    /// effects (lookup walk, LRU touch, stats) and an identical trace
-    /// written into `trace`, but returns only the value length —
-    /// skipping the value clone a [`GetHit`] would pay for, which at
-    /// 1 MB values is a megabyte of memcpy per simulated request.
+    /// effects (lookup walk, LRU touch, stats), plus the addresses the
+    /// lookup touched written into `trace`. Returns the value length.
     pub fn get_traced(&mut self, key: &[u8], now: u64, trace: &mut AccessTrace) -> Option<u64> {
-        let hash = jenkins_oaat(key);
-        match self.lookup_into(key, hash, now, trace) {
-            Some(slot) => {
-                let class = {
-                    let item = self.items[slot as usize].as_ref().expect("live");
-                    trace.value = Some((self.value_offset(item), item.value.len() as u64));
-                    item.addr.class
-                };
-                self.policies[class as usize].on_access(slot);
-                self.stats.get_hits += 1;
-                let item = self.items[slot as usize].as_ref().expect("live");
-                self.stats.bytes_read += item.value.len() as u64;
-                Some(item.value.len() as u64)
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+        let slot = self.get_slot(key, now, Some(&mut *trace))?;
+        let item = self.items[slot as usize].as_ref().expect("live");
+        trace.value = Some((self.value_offset(item), item.value.len() as u64));
+        Some(item.value.len() as u64)
     }
 
     /// Stores `key` → `value` with optional TTL (seconds from `now`).
@@ -506,8 +470,8 @@ impl KvStore {
         let footprint = ITEM_HEADER_BYTES + key.len() as u64 + value.len() as u64;
 
         // Replace any existing copy first (frees its chunk).
-        let (existing, mut trace) = self.lookup(key, hash, now);
-        if let Some(slot) = existing {
+        let mut trace = AccessTrace::default();
+        if let Some(slot) = self.lookup(key, hash, now, Some(&mut trace)) {
             self.remove_slot(slot, hash);
         }
 
@@ -567,8 +531,9 @@ impl KvStore {
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self
+            .lookup(key, hash, now, None)
+            .ok_or(StoreError::NotFound)?;
         let current = self.items[slot as usize].as_ref().expect("live").cas;
         if current != cas {
             return Err(StoreError::CasMismatch);
@@ -579,8 +544,8 @@ impl KvStore {
     /// Deletes `key`, returning its trace if it was present.
     pub fn delete(&mut self, key: &[u8]) -> Option<AccessTrace> {
         let hash = jenkins_oaat(key);
-        let (slot, trace) = self.lookup(key, hash, u64::MAX.saturating_sub(1));
-        let slot = slot?;
+        let mut trace = AccessTrace::default();
+        let slot = self.lookup(key, hash, u64::MAX.saturating_sub(1), Some(&mut trace))?;
         self.remove_slot(slot, hash);
         self.stats.deletes += 1;
         Some(trace)
@@ -600,7 +565,7 @@ impl KvStore {
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
         let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_some() {
+        if self.lookup(key, hash, now, None).is_some() {
             return Err(StoreError::Exists);
         }
         self.set(key, value, ttl_secs, now)
@@ -620,7 +585,7 @@ impl KvStore {
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
         let hash = jenkins_oaat(key);
-        if self.lookup(key, hash, now).0.is_none() {
+        if self.lookup(key, hash, now, None).is_none() {
             return Err(StoreError::NotFound);
         }
         self.set(key, value, ttl_secs, now)
@@ -642,8 +607,9 @@ impl KvStore {
         now: u64,
     ) -> Result<SetOutcome, StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self
+            .lookup(key, hash, now, None)
+            .ok_or(StoreError::NotFound)?;
         let (mut value, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
             (item.value.clone(), item.flags, item.expires_at)
@@ -676,8 +642,9 @@ impl KvStore {
         now: u64,
     ) -> Result<u64, StoreError> {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        let slot = slot.ok_or(StoreError::NotFound)?;
+        let slot = self
+            .lookup(key, hash, now, None)
+            .ok_or(StoreError::NotFound)?;
         let (current, flags, expires_at) = {
             let item = self.items[slot as usize].as_ref().expect("live");
             let text = std::str::from_utf8(&item.value).map_err(|_| StoreError::NotNumeric)?;
@@ -697,8 +664,7 @@ impl KvStore {
     /// Updates a live item's TTL without touching its value.
     pub fn touch(&mut self, key: &[u8], ttl_secs: Option<u64>, now: u64) -> bool {
         let hash = jenkins_oaat(key);
-        let (slot, _) = self.lookup(key, hash, now);
-        match slot {
+        match self.lookup(key, hash, now, None) {
             Some(slot) => {
                 let item = self.items[slot as usize].as_mut().expect("live");
                 item.expires_at = ttl_secs.map(|t| now + t);
@@ -1032,8 +998,8 @@ mod tests {
     fn traces_have_distinct_regions() {
         let mut s = small();
         s.set(b"k", vec![1; 1000], None, 0).unwrap();
-        let hit = s.get(b"k", 0).unwrap();
-        let t = hit.trace();
+        let mut t = AccessTrace::default();
+        assert_eq!(s.get_traced(b"k", 0, &mut t), Some(1000));
         assert!(t.bucket_offset < AccessTrace::SLAB_REGION_OFFSET);
         for off in &t.chain_offsets {
             assert!(*off >= AccessTrace::SLAB_REGION_OFFSET);
@@ -1135,33 +1101,91 @@ mod tests {
         assert!(s.get(b"k", 110).is_none(), "expired at the original time");
     }
 
-    #[test]
-    fn get_traced_matches_get_observably() {
-        // Two identical stores: one driven by `get`, one by `get_traced`.
-        // Traces, stats, hit/miss outcomes, and lazy expirations must be
-        // identical — only the value clone is skipped.
+    /// An item's key, value length, flags, CAS and chunk.
+    type Resident = (Vec<u8>, usize, u32, u64, SlabAddr);
+
+    /// Every item slot's identity and placement, in slot order: two
+    /// stores with equal residents evicted the same victims.
+    fn residents(s: &KvStore) -> Vec<Option<Resident>> {
+        s.items
+            .iter()
+            .map(|item| {
+                item.as_ref()
+                    .map(|i| (i.key.clone(), i.value.len(), i.flags, i.cas, i.addr))
+            })
+            .collect()
+    }
+
+    /// Drives two identical 2 MB stores with one op stream — `(kind,
+    /// key, value length, dt)` — one answering GETs through `get`, the
+    /// other through `get_traced`. After every op the two must agree
+    /// on hit/miss and value length, on every counter (expirations and
+    /// evictions included), and on their residents slot by slot, so
+    /// the same victims leave in the same LRU order. Returns the final
+    /// counters.
+    fn get_differential(ops: &[(u8, u8, u32, u64)]) -> StoreStats {
         let mut by_hit = small();
         let mut by_trace = small();
-        for s in [&mut by_hit, &mut by_trace] {
-            s.set(b"live", b"value-bytes".to_vec(), None, 0).unwrap();
-            s.set(b"stale", b"old".to_vec(), Some(10), 0).unwrap();
-        }
         let mut trace = AccessTrace::default();
-        for (key, now) in [
-            (&b"live"[..], 0),
-            (&b"missing"[..], 0),
-            (&b"stale"[..], 50),
-            (&b"stale"[..], 60),
-            (&b"live"[..], 60),
-        ] {
-            let hit = by_hit.get(key, now);
-            let len = by_trace.get_traced(key, now, &mut trace);
-            assert_eq!(hit.as_ref().map(|h| h.value().len() as u64), len);
-            if let Some(hit) = hit {
-                assert_eq!(hit.trace(), &trace, "key {key:?}");
+        let mut now = 0;
+        for &(kind, id, len, dt) in ops {
+            let key = format!("key{id}").into_bytes();
+            match kind {
+                // Sets outnumber gets so the stream overfills the store.
+                0..=4 => {
+                    let ttl = (dt % 3 == 0).then_some(dt + 1);
+                    let set = |s: &mut KvStore| {
+                        s.set_with_flags(&key, vec![id; len as usize], u32::from(id), ttl, now)
+                            .map(|outcome| outcome.evicted)
+                    };
+                    assert_eq!(set(&mut by_hit), set(&mut by_trace));
+                }
+                5 => now += dt,
+                _ => {
+                    let hit = by_hit.get(&key, now).map(|h| {
+                        assert!(h.value().iter().all(|&b| b == id));
+                        assert_eq!(h.flags(), u32::from(id));
+                        h.value().len() as u64
+                    });
+                    let traced = by_trace.get_traced(&key, now, &mut trace);
+                    assert_eq!(hit, traced, "key {id} at {now}");
+                    if traced.is_some() {
+                        assert_eq!(trace.value.map(|(_, len)| len), traced);
+                    }
+                }
             }
-            assert_eq!(by_hit.stats(), by_trace.stats(), "key {key:?}");
+            assert_eq!(by_hit.stats(), by_trace.stats());
+            assert_eq!(residents(&by_hit), residents(&by_trace));
         }
-        assert_eq!(by_trace.stats().expirations, 1, "lazy expiry still fires");
+        by_trace.stats()
+    }
+
+    /// A `get_differential` op: mostly 12–13 KB sets over 256 keys
+    /// (about 3 MB of distinct items in one slab class, more than the
+    /// 2 MB store), plus clock ticks and gets.
+    fn get_op() -> impl proptest::Strategy<Value = (u8, u8, u32, u64)> {
+        (0u8..8, proptest::any::<u8>(), 12_000u32..13_000, 0u64..20)
+    }
+
+    proptest::proptest! {
+        /// `get` and `get_traced` are one GET path: under eviction
+        /// pressure and lazy expiry they leave identical stores behind.
+        #[test]
+        fn get_traced_matches_get_observably(
+            ops in proptest::collection::vec(get_op(), 1..600)
+        ) {
+            get_differential(&ops);
+        }
+    }
+
+    #[test]
+    fn get_differential_exercises_eviction_and_expiry() {
+        use proptest::Strategy as _;
+        let ops = proptest::collection::vec(get_op(), 600)
+            .sample(&mut proptest::rng_for("get_differential", 0));
+        let stats = get_differential(&ops);
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert!(stats.expirations > 0, "{stats:?}");
+        assert!(stats.get_hits > 0 && stats.get_misses > 0, "{stats:?}");
     }
 }

@@ -1273,9 +1273,8 @@ mod tests {
 
     #[test]
     fn verb_classification_covers_the_protocol() {
-        use bytes::Bytes;
         let get = Command::Get {
-            keys: vec![Bytes::from_static(b"k")],
+            keys: densekv_kv::protocol::KeyList::new(b"k").expect("one key"),
             with_cas: false,
         };
         assert_eq!(Verb::of(&get), Verb::Get);

@@ -181,7 +181,9 @@ impl ShardedStore {
     /// Single-key commands lock exactly their key's shard and run the
     /// same [`handle_command`] loop the simulator uses. Multi-key GETs
     /// lock one shard at a time (no deadlock possible: at most one lock
-    /// is ever held). `stats` and `flush_all` visit every shard.
+    /// is ever held); each hit borrows the stored value, so it is
+    /// rendered into `out` before that key's lock is released. `stats`
+    /// and `flush_all` visit every shard.
     pub fn dispatch(&self, command: Command, clock: &dyn Clock, out: &mut BytesMut) -> Disposition {
         match command {
             Command::Get { keys, with_cas } => {
