@@ -1,145 +1,25 @@
 //! Machine-readable hot-path benchmark report.
 //!
-//! Times the same hot paths as `benches/hotpaths.rs` with plain
-//! wall-clock sampling (best of repeated timed batches), then times a
-//! quick evaluation grid — the work `all-experiments` fans out — at
-//! `--jobs 1` versus the detected worker count, and writes everything
-//! to `results/BENCH_hotpaths.json`. Numbers are whatever the host
-//! actually measured; on a single-core machine the grid speedup will be
-//! ~1.0x.
+//! Times the hot paths of [`densekv_bench::hotpaths`] (best of repeated
+//! timed batches), then times a quick evaluation grid — the work
+//! `all-experiments` fans out — at `--jobs 1` versus the detected worker
+//! count, and writes everything to `results/BENCH_hotpaths.json`,
+//! stamped with the host's cores, CPU model, rustc version and commit.
+//! Numbers are whatever the host actually measured; on a single-core
+//! machine the grid speedup will be ~1.0x.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use densekv::experiments::evaluation;
-use densekv::sim::{CoreSim, CoreSimConfig};
-use densekv::slots::RequestSlots;
-use densekv::sweep::{measure_point, SweepEffort};
-use densekv_cpu::cache::{Cache, CacheConfig};
-use densekv_engine::Engine;
-use densekv_kv::store::StoreConfig;
-use densekv_kv::StoreBackend;
+use densekv::sweep::SweepEffort;
+use densekv_bench::hotpaths::{self, HostStamp};
 use densekv_par::Jobs;
-use densekv_sim::dist::Zipf;
-use densekv_sim::{Scheduler, SplitMix64, SplitRng};
-use densekv_workload::{key_bytes, Op, Request};
-
-/// Best (minimum) per-call nanoseconds over `reps` batches of `iters`
-/// calls. Interference on a shared host only ever *adds* time, so the
-/// minimum batch is the robust estimator of attainable cost — medians
-/// still wander by 2x with noisy neighbours.
-fn best_ns(iters: u32, reps: usize, mut f: impl FnMut()) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(iters)
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let jobs = densekv_bench::jobs();
     eprintln!("[densekv-bench] timing hot paths (this takes a minute)...");
-
-    // Population matched to the cluster workload's key space.
-    let zipf = Zipf::new(10_000, 0.99);
-    let mut rng = SplitMix64::new(7);
-    let alias_ns = best_ns(200_000, 9, || {
-        black_box(zipf.sample(&mut rng));
-    });
-    let mut rng = SplitMix64::new(7);
-    let cdf_ns = best_ns(200_000, 9, || {
-        black_box(zipf.sample_cdf(&mut rng));
-    });
-
-    let mut cache = Cache::new(CacheConfig::l1_32k());
-    cache.access(0);
-    let cache_ns = best_ns(200_000, 9, || {
-        black_box(cache.access(0));
-    });
-
-    let req = Request {
-        op: Op::Get,
-        key: key_bytes(0),
-        value_bytes: 64,
-    };
-    let mut core = CoreSim::new(CoreSimConfig::mercury_a7()).expect("valid");
-    core.preload(64, 32).expect("fits");
-    for _ in 0..300 {
-        core.execute(&req);
-    }
-    let request_ns = best_ns(5_000, 9, || {
-        black_box(core.execute(&req));
-    });
-
-    let cfg = CoreSimConfig::mercury_a7();
-    let sweep_point_ns = best_ns(1, 15, || {
-        black_box(measure_point(&cfg, 64, SweepEffort::quick()));
-    });
-
-    // The event engine's steady-state unit: pop the earliest event off
-    // the timer wheel and reschedule it a random distance ahead,
-    // holding a 4096-event backlog so pops cascade wheel levels.
-    let mut sched: Scheduler<u32> = Scheduler::new();
-    let mut sched_rng = SplitMix64::new(11);
-    for id in 0..4096u32 {
-        sched.schedule_in(
-            densekv_sim::Duration::from_nanos(1 + sched_rng.next_below(1 << 20)),
-            id,
-        );
-    }
-    let scheduler_ns = best_ns(200_000, 9, || {
-        let (_, id) = sched.pop().expect("standing backlog");
-        sched.schedule_in(
-            densekv_sim::Duration::from_nanos(1 + sched_rng.next_below(1 << 20)),
-            id,
-        );
-    });
-
-    // Slot-arena churn: acquire renders the key into the arena slab,
-    // release recycles it through the free list — the per-request
-    // state cost with no simulator behind it.
-    let mut slots = RequestSlots::with_capacity(4);
-    let mut key_id = 0u64;
-    let slab_ns = best_ns(200_000, 9, || {
-        key_id = key_id.wrapping_add(1);
-        let a = slots.acquire(Op::Get, 64, key_id);
-        let b = slots.acquire(Op::Put, 64, !key_id);
-        black_box(slots.key(b));
-        slots.release(b);
-        slots.release(a);
-    });
-
-    // The storage engine's hot path: overwrite + read back one 256 B
-    // value — hash, bucket probe, bitmap page free/alloc, byte copy.
-    // Key indices come out of a batched `fill_f64` buffer, the same
-    // RNG hot path the simulator's samplers drain.
-    let mut engine = Engine::new(StoreConfig::with_capacity(16 << 20));
-    let value = vec![7u8; 256];
-    let keys: Vec<Vec<u8>> = (0..256).map(key_bytes).collect();
-    for key in &keys {
-        engine
-            .set_with_flags(key, value.clone(), 0, None, 0)
-            .expect("fits");
-    }
-    let mut key_rng = SplitRng::new(7);
-    let mut draws = [0.0f64; 64];
-    let mut pos = draws.len();
-    let engine_ns = best_ns(100_000, 9, || {
-        if pos == draws.len() {
-            key_rng.fill_f64(&mut draws);
-            pos = 0;
-        }
-        let key = &keys[(draws[pos] * keys.len() as f64) as usize];
-        pos += 1;
-        engine
-            .set_with_flags(key, value.clone(), 0, None, 0)
-            .expect("fits");
-        black_box(engine.get(key, 0));
-    });
+    let rows = hotpaths::measure();
 
     // The grid all-experiments fans out, at quick effort: serial versus
     // the requested/detected worker count.
@@ -151,19 +31,18 @@ fn main() {
     let grid_serial_ms = time_grid(Jobs::SERIAL);
     let grid_par_ms = time_grid(jobs);
 
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let paths: Vec<String> = rows
+        .iter()
+        .map(|(name, ns)| format!("    \"{name}\": {ns:.1}"))
+        .collect();
     let json = format!(
-        "{{\n  \"generated_by\": \"bench_report\",\n  \"host_cores\": {host_cores},\n  \
-         \"hot_paths_ns_per_op\": {{\n    \"zipf_alias_sample\": {alias_ns:.1},\n    \
-         \"zipf_cdf_sample\": {cdf_ns:.1},\n    \"cache_l1_mru_hit\": {cache_ns:.1},\n    \
-         \"request_mercury_a7_get64\": {request_ns:.1},\n    \
-         \"sweep_point_quick_64b\": {sweep_point_ns:.1},\n    \
-         \"scheduler_push_pop\": {scheduler_ns:.1},\n    \
-         \"request_slab_churn\": {slab_ns:.1},\n    \
-         \"engine_set_get_256b\": {engine_ns:.1}\n  }},\n  \
+        "{{\n  \"generated_by\": \"bench_report\",\n  \"host\": {host},\n  \
+         \"hot_paths_ns_per_op\": {{\n{paths}\n  }},\n  \
          \"quick_grid\": {{\n    \"jobs_1_ms\": {grid_serial_ms:.1},\n    \
          \"jobs_n_ms\": {grid_par_ms:.1},\n    \"jobs\": {n},\n    \
          \"speedup\": {speedup:.2}\n  }}\n}}\n",
+        host = HostStamp::detect().to_json(),
+        paths = paths.join(",\n"),
         n = jobs.get(),
         speedup = grid_serial_ms / grid_par_ms.max(f64::MIN_POSITIVE),
     );

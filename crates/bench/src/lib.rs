@@ -12,6 +12,8 @@ use std::path::{Path, PathBuf};
 
 use densekv::report::TextTable;
 
+pub mod hotpaths;
+
 /// Directory (relative to the workspace root) where experiment output is
 /// written.
 pub const RESULTS_DIR: &str = "results";

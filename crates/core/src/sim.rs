@@ -6,18 +6,15 @@
 //! its own Memcached instance (the paper's deployment model, §4.1.4/§5.3)
 //! serving a closed-loop client: TPS = 1/RTT (§5.3).
 
-use std::collections::HashMap;
-
-use densekv_cpu::engine::{EngineDelta, PhaseEngine, PhaseResult, PhaseSpec, StreamRef};
+use densekv_cpu::engine::{PhaseEngine, PhaseResult, PhaseSpec, StreamRef};
 use densekv_cpu::CoreConfig;
 use densekv_hybrid::{HybridMemory, TierSnapshot};
 use densekv_kv::hash::hash_instructions;
 use densekv_kv::store::{AccessTrace, KvStore, StoreConfig, StoreError};
-use densekv_mem::dram::{DramCounters, DramStack};
-use densekv_mem::flash::FlashCounters;
+use densekv_mem::dram::DramStack;
 use densekv_mem::ftl::Ftl;
 use densekv_mem::sram::SramBuffer;
-use densekv_mem::{lines_for_bytes, AccessKind, MemoryTiming, PagePolicy};
+use densekv_mem::{lines_for_bytes, AccessKind, MemoryTiming};
 use densekv_net::frame::MessageSizes;
 use densekv_net::nic::NicMac;
 use densekv_net::{TcpCostModel, Wire};
@@ -149,98 +146,6 @@ impl CoreSimConfig {
     }
 }
 
-/// Consecutive bit-identical observations of a request family before its
-/// replay arms. Real executions keep running (and keep checking) until a
-/// family has proved this many times in a row that its timing, phase
-/// breakdown, engine delta, and device delta no longer change.
-///
-/// The streak proves the *recording* is stable; it cannot prove that a
-/// replay is invisible to other traffic. A replay credits counters and
-/// advances cursors but leaves cache *contents* untouched, so a later
-/// real execution of a different family sees staler L1 sets than it
-/// would have in a memo-free run and can time differently. The memo is
-/// therefore exact only when every request after arming replays — the
-/// single-request-shape loops the hot-path benches drive — and it ships
-/// **disabled by default** ([`CoreSim::set_memo_enabled`]). The always-on
-/// speedup for mixed request streams is the resident-L2 shortcut inside
-/// [`PhaseEngine`], which is bit-exact unconditionally.
-const MEMO_ARM_STREAK: u32 = 8;
-
-/// Everything that determines a request's *timing inputs* once the store
-/// operation itself has executed. Two requests with the same family key
-/// run the exact same phase specs (instruction counts, reference counts,
-/// stream lengths), so on a timing-stateless memory system their phase
-/// walk is a pure function of warmed engine state — which is what the
-/// arming streak verifies empirically before any replay happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MemoKey {
-    op: Op,
-    key_len: u64,
-    value_bytes: u64,
-    /// GET hit / PUT success.
-    hit: bool,
-    /// Metadata probes: chain headers walked by the lookup/insert.
-    probes: u32,
-    /// Value lines streamed (0 when no value moved).
-    value_lines: u64,
-    /// Items the store evicted to make room (PUT only).
-    evicted: u64,
-}
-
-/// The recorded effect of one real execution of a family: the outputs to
-/// return and the engine/device side effects to replay.
-#[derive(Debug, Clone, PartialEq)]
-struct MemoEntry {
-    timing: RequestTiming,
-    breakdown: PhaseBreakdown,
-    engine: EngineDelta,
-    device: DeviceDelta,
-}
-
-/// Per-family memo state: the last observed entry and how many times in
-/// a row it has repeated exactly.
-#[derive(Debug, Clone)]
-struct MemoFamily {
-    entry: MemoEntry,
-    streak: u32,
-    armed: bool,
-}
-
-/// Device-side traffic counters, snapshot or per-request delta,
-/// for whichever memory system backs the core. Hybrid stacks never memo
-/// (the DRAM tier is stateful), so they have no variant here.
-#[derive(Debug, Clone, PartialEq)]
-enum DeviceDelta {
-    Dram(DramCounters),
-    Flash {
-        flash: FlashCounters,
-        buffer_bytes: u64,
-    },
-}
-
-impl DeviceDelta {
-    /// Counter growth since an `earlier` snapshot.
-    fn delta(&self, earlier: &DeviceDelta) -> DeviceDelta {
-        match (self, earlier) {
-            (DeviceDelta::Dram(now), DeviceDelta::Dram(was)) => DeviceDelta::Dram(now.delta(was)),
-            (
-                DeviceDelta::Flash {
-                    flash: now,
-                    buffer_bytes: now_buf,
-                },
-                DeviceDelta::Flash {
-                    flash: was,
-                    buffer_bytes: was_buf,
-                },
-            ) => DeviceDelta::Flash {
-                flash: now.delta(was),
-                buffer_bytes: now_buf - was_buf,
-            },
-            _ => unreachable!("snapshots from the same StackMemory variant"),
-        }
-    }
-}
-
 /// The stack's memory system as one core sees it.
 enum StackMemory {
     /// Mercury: DRAM holds both the store and the packet buffers.
@@ -345,57 +250,6 @@ impl StackMemory {
                 tier.reset_counters();
                 buffer.reset_counters();
             }
-        }
-    }
-
-    /// Whether this memory system's *timing* is stateless for `op`, i.e.
-    /// whether replaying counter deltas instead of re-walking the device
-    /// is exact:
-    ///
-    /// * Closed-page DRAM never consults row state — every line access
-    ///   costs the same; GETs and PUTs both qualify. The open-page
-    ///   ablation is stateful (row buffers) and never arms.
-    /// * Flash line *reads* have fixed latency and touch no FTL state,
-    ///   so GETs qualify; PUTs program pages and can trigger garbage
-    ///   collection and wear-leveling — deeply stateful — and never arm.
-    /// * The hybrid tier is an LRU page cache — stateful on every path.
-    fn memo_eligible(&self, op: Op) -> bool {
-        match (self, op) {
-            (StackMemory::Dram(d), _) => d.config().page_policy == PagePolicy::Closed,
-            (StackMemory::Flash { .. }, Op::Get) => true,
-            (StackMemory::Flash { .. }, Op::Put) => false,
-            (StackMemory::Hybrid { .. }, _) => false,
-        }
-    }
-
-    /// Snapshot of every device traffic counter; `None` for memory
-    /// systems that never memo.
-    fn memo_counters(&self) -> Option<DeviceDelta> {
-        match self {
-            StackMemory::Dram(d) => Some(DeviceDelta::Dram(d.counters())),
-            StackMemory::Flash { ftl, buffer } => Some(DeviceDelta::Flash {
-                flash: ftl.flash().counters(),
-                buffer_bytes: buffer.bytes_moved(),
-            }),
-            StackMemory::Hybrid { .. } => None,
-        }
-    }
-
-    /// Replays a recorded per-request traffic delta onto the counters.
-    fn credit(&mut self, delta: &DeviceDelta) {
-        match (self, delta) {
-            (StackMemory::Dram(d), DeviceDelta::Dram(c)) => d.credit(c),
-            (
-                StackMemory::Flash { ftl, buffer },
-                DeviceDelta::Flash {
-                    flash,
-                    buffer_bytes,
-                },
-            ) => {
-                ftl.credit_flash(flash);
-                buffer.credit_bytes(*buffer_bytes);
-            }
-            _ => unreachable!("delta recorded on the same StackMemory variant"),
         }
     }
 }
@@ -503,13 +357,6 @@ pub struct CoreSim {
     mac: NicMac,
     /// Wire payload bytes exchanged (both directions).
     wire_bytes: u64,
-    /// Whether the request memo layer may replay armed families.
-    memo_enabled: bool,
-    /// Per-family recorded executions; see [`MemoKey`] for the proof
-    /// obligations and [`MEMO_ARM_STREAK`] for the arming rule.
-    memo: HashMap<MemoKey, MemoFamily>,
-    /// Requests served by replay instead of a phase walk.
-    memo_hits: u64,
     /// Reused trace buffer (avoids per-request chain-vector allocation).
     trace_scratch: AccessTrace,
 }
@@ -576,9 +423,6 @@ impl CoreSim {
             memory,
             mac: NicMac::for_cores(1),
             wire_bytes: 0,
-            memo_enabled: false,
-            memo: HashMap::new(),
-            memo_hits: 0,
             trace_scratch: AccessTrace::default(),
             config,
         })
@@ -663,34 +507,6 @@ impl CoreSim {
         self.wire_bytes = 0;
     }
 
-    /// Enables or disables the request memo layer. Disabling also drops
-    /// every recorded family, so re-enabling starts proving streaks from
-    /// scratch.
-    ///
-    /// **Off by default.** Replay is bit-exact only while every request
-    /// after arming replays (a single repeated request shape, as the
-    /// hot-path benches drive); in mixed request streams a later real
-    /// execution sees frozen cache contents and can time differently
-    /// than a memo-free run — see [`MEMO_ARM_STREAK`]. The experiment
-    /// drivers leave it off so their CSVs stay byte-identical.
-    pub fn set_memo_enabled(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-        if !enabled {
-            self.memo.clear();
-            self.memo_hits = 0;
-        }
-    }
-
-    /// Whether the request memo layer is enabled.
-    pub fn memo_enabled(&self) -> bool {
-        self.memo_enabled
-    }
-
-    /// Requests served by memo replay instead of a full phase walk.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits
-    }
-
     /// Runs a phase whose stream (if any) targets the store device.
     fn run_store(&mut self, spec: &PhaseSpec) -> PhaseResult {
         self.memory.run_phase(&mut self.engine, spec, false)
@@ -738,11 +554,10 @@ impl CoreSim {
         // --- The store operation itself (real data structures) runs
         // first: the store never consults the timing models, so hoisting
         // it ahead of the phase walk is observable-neutral — and its
-        // trace both parameterizes the phase specs and identifies the
-        // request's memo family.
+        // trace parameterizes the phase specs.
         let mut trace = std::mem::take(&mut self.trace_scratch);
-        let (hit, evicted) = match op {
-            Op::Get => (self.store.get_traced(key, 0, &mut trace).is_some(), 0),
+        let hit = match op {
+            Op::Get => self.store.get_traced(key, 0, &mut trace).is_some(),
             Op::Put => {
                 match self
                     .store
@@ -750,58 +565,15 @@ impl CoreSim {
                 {
                     Ok(set) => {
                         trace = set.trace;
-                        (true, set.evicted)
+                        true
                     }
                     Err(_) => {
                         trace = AccessTrace::default();
-                        (false, 0)
+                        false
                     }
                 }
             }
         };
-        let value_lines = trace
-            .value
-            .map(|(_, len)| lines_for_bytes(len.max(value_bytes)))
-            .unwrap_or(0);
-
-        // --- Memo replay: when this family has a proven-stable
-        // recording, credit its engine and device effects and return the
-        // recorded outputs — bit-identical to the walk it replaces.
-        let memo_key = (self.memo_enabled && self.memory.memo_eligible(op)).then_some(MemoKey {
-            op,
-            key_len,
-            value_bytes,
-            hit,
-            probes: trace.chain_offsets.len() as u32,
-            value_lines,
-            evicted,
-        });
-        if let Some(k) = memo_key {
-            if let Some(family) = self.memo.get(&k) {
-                if family.armed {
-                    self.engine.apply_replay(&family.entry.engine);
-                    self.memory.credit(&family.entry.device);
-                    self.memo_hits += 1;
-                    self.wire_bytes += sizes.request_payload + sizes.response_payload;
-                    self.trace_scratch = trace;
-                    return (family.entry.timing, family.entry.breakdown);
-                }
-            }
-        }
-
-        // --- Real execution, with before-state captured so the family
-        // can record (or keep proving) its effect. Recording waits for
-        // [`PhaseEngine::warm`]: during the cold cache fill, timing sits
-        // on long locally-constant plateaus that a streak check alone
-        // would arm on — freezing cold-cache timing into the replay.
-        let snapshot = (memo_key.is_some() && self.engine.warm()).then(|| {
-            (
-                self.engine.replay_snapshot(),
-                self.memory
-                    .memo_counters()
-                    .expect("memo-eligible memory snapshots counters"),
-            )
-        });
 
         // --- Receive path: kernel RX + payload landing in buffers.
         let rx = self.config.tcp.rx_cost(sizes.request_frames());
@@ -893,44 +665,6 @@ impl CoreSim {
             hit,
         };
 
-        // --- Record: a family arms only after MEMO_ARM_STREAK
-        // consecutive bit-identical recordings (outputs AND effects).
-        if let (Some(k), Some((engine_before, device_before))) = (memo_key, snapshot) {
-            let entry = MemoEntry {
-                timing,
-                breakdown,
-                engine: self.engine.replay_delta(&engine_before),
-                device: self
-                    .memory
-                    .memo_counters()
-                    .expect("memo-eligible memory snapshots counters")
-                    .delta(&device_before),
-            };
-            match self.memo.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let family = slot.get_mut();
-                    if family.entry == entry {
-                        family.streak += 1;
-                        if family.streak >= MEMO_ARM_STREAK {
-                            family.armed = true;
-                        }
-                    } else {
-                        *family = MemoFamily {
-                            entry,
-                            streak: 1,
-                            armed: false,
-                        };
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(MemoFamily {
-                        entry,
-                        streak: 1,
-                        armed: false,
-                    });
-                }
-            }
-        }
         self.trace_scratch = trace;
         (timing, breakdown)
     }

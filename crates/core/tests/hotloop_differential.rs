@@ -1,10 +1,8 @@
-//! Differential pins for the hot-loop rewrite's two speed paths.
+//! Differential pins for the resident-L2 shortcut.
 //!
-//! The resident-L2 shortcut must be invisible at the request level for
-//! *mixed* GET/PUT streams on every stack family; the phase memo is
-//! only exact for single-shape loops, which is why it ships disabled —
-//! both claims are checked against a reference core with the path
-//! turned off.
+//! The shortcut must be invisible at the request level for *mixed*
+//! GET/PUT streams on every stack family, checked against a reference
+//! core with the shortcut turned off.
 
 use densekv::sim::{CoreSim, CoreSimConfig};
 use densekv::slots::RequestSlots;
@@ -69,32 +67,22 @@ fn residency_shortcut_is_invisible_on_iridium() {
     assert_streams_identical(&mut fast, &mut reference, 128);
 }
 
-/// The memo's documented soundness domain: a loop that replays one
-/// request shape end-to-end. With every request armed-and-replaying,
-/// the frozen cache contents are never consulted by a diverging real
-/// execution, so opt-in memo must be bit-exact — and actually hit.
 #[test]
-fn memo_is_exact_for_single_shape_loops() {
-    let config = CoreSimConfig::mercury_a7();
-    let mut memoized = build(&config, 64, 64, false);
-    memoized.set_memo_enabled(true);
-    let mut reference = build(&config, 64, 64, false);
-    assert!(!reference.memo_enabled(), "memo ships disabled");
-
-    let mut slots = RequestSlots::with_capacity(1);
-    // One fixed key: a single (family, size) shape.
-    for i in 0..400u32 {
-        let a = slots.acquire(Op::Get, 64, 7);
-        let (tm, bm) = memoized.execute_parts(slots.op(a), slots.key(a), slots.value_bytes(a));
-        let (tr, br) = reference.execute_parts(slots.op(a), slots.key(a), slots.value_bytes(a));
-        slots.release(a);
-        assert_eq!(tm, tr, "memo replay diverged at #{i}");
-        assert_eq!(bm, br, "memo breakdown diverged at #{i}");
+fn residency_shortcut_is_invisible_on_helios() {
+    // A tier smaller than the touched pages (misses, dirty evictions and
+    // writebacks under PUTs) and one larger than them (steady hits).
+    for tier_bytes in [64 << 10, 256 << 20] {
+        let config = CoreSimConfig::helios_a7(tier_bytes);
+        let mut fast = build(&config, 1024, 64, false);
+        let mut reference = build(&config, 1024, 64, true);
+        assert_streams_identical(&mut fast, &mut reference, 1024);
+        let tier = fast.tier_stats().expect("Helios core has a tier");
+        assert_eq!(Some(tier), reference.tier_stats());
+        if tier_bytes < 1 << 20 {
+            assert!(
+                tier.misses > 2 * tier.capacity_pages,
+                "small tier must evict"
+            );
+        }
     }
-    assert!(
-        memoized.memo_hits() > 100,
-        "the loop must actually replay (hits = {})",
-        memoized.memo_hits()
-    );
-    assert_eq!(reference.memo_hits(), 0);
 }

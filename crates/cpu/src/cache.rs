@@ -143,27 +143,23 @@ impl Cache {
         };
         assert!(tag < u64::from(EMPTY), "line address out of modeled range");
         let tag = tag as u32;
-        let set = &mut self.tags[set_idx * self.ways..set_idx * self.ways + self.ways];
-        // Fast path: re-referencing the MRU way needs no recency shuffle.
-        if set[0] == tag {
+        // The 4-way L1I walked by every simulated instruction fetch gets
+        // a fixed-length set, whose update the compiler unrolls; other
+        // associativities walk a slice.
+        let at = set_idx * self.ways;
+        let hit = match self.ways {
+            4 => touch_set(
+                <&mut [u32; 4]>::try_from(&mut self.tags[at..at + 4]).expect("4-way set"),
+                tag,
+            ),
+            ways => touch_set(&mut self.tags[at..at + ways], tag),
+        };
+        if hit {
             self.hits += 1;
-            return true;
-        }
-        if let Some(pos) = set[1..].iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            set.copy_within(..pos + 1, 1);
-            set[0] = tag;
-            self.hits += 1;
-            true
         } else {
-            // Shift everything down one way and fill at MRU; sentinels
-            // ride along in the tail, so the slot dropped off the end is
-            // the true LRU tag exactly when the set was full.
-            set.copy_within(..self.ways - 1, 1);
-            set[0] = tag;
             self.misses += 1;
-            false
         }
+        hit
     }
 
     /// Hits recorded so far.
@@ -192,9 +188,9 @@ impl Cache {
         self.misses = 0;
     }
 
-    /// Credits hit/miss counters without touching contents — the replay
-    /// path of the request memo layer, which accounts a request's cache
-    /// traffic without re-walking it.
+    /// Credits hit/miss counters without touching contents — how the
+    /// phase engine's resident-L2 shortcut accounts lookups whose outcome
+    /// (a hit that cannot change any eviction) is known without a walk.
     pub fn credit(&mut self, hits: u64, misses: u64) {
         self.hits += hits;
         self.misses += misses;
@@ -205,6 +201,33 @@ impl Cache {
         self.tags.fill(EMPTY);
         self.reset_counters();
     }
+}
+
+/// Looks `tag` up in one set (ordered most-recently-used first) and
+/// moves it to the front, filling on a miss; returns `true` on a hit.
+#[inline(always)]
+fn touch_set(set: &mut [u32], tag: u32) -> bool {
+    // Fast path: re-referencing the MRU way needs no recency shuffle.
+    if set[0] == tag {
+        return true;
+    }
+    // One pass: carry the new tag in at MRU and swap each way down one
+    // slot until the carried tag is the one looked up (a hit: it lands
+    // back in the slot it was found in, already moved to MRU). Reaching
+    // the end drops the carried tag — the true LRU tag when the set was
+    // full, a sentinel otherwise; carrying a sentinel early means the
+    // rest of the tail is sentinels too.
+    let mut carry = std::mem::replace(&mut set[0], tag);
+    for slot in &mut set[1..] {
+        carry = std::mem::replace(slot, carry);
+        if carry == tag {
+            return true;
+        }
+        if carry == EMPTY {
+            break;
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -372,6 +395,44 @@ mod tests {
             assert_eq!(optimized.hits(), hits);
             assert_eq!(optimized.misses(), misses);
             assert!(hits > 0 && misses > 0, "stream exercises both outcomes");
+        }
+    }
+
+    proptest::proptest! {
+        /// The single-pass set update against the naive model, over
+        /// random geometries: 1–16 ways (the unrolled 4-way set and the
+        /// slice walk), power-of-two and odd set counts,
+        /// and streams dense enough to hit and sparse enough to evict.
+        #[test]
+        fn access_matches_naive_model_on_random_geometries(
+            ways in 1u32..=16,
+            sets in 1u64..=40,
+            pow2 in proptest::any::<bool>(),
+            span in 1u64..2_000,
+            stream in proptest::collection::vec(proptest::any::<u64>(), 1..600),
+        ) {
+            let sets = if pow2 { sets.next_power_of_two() } else { sets };
+            let config = CacheConfig {
+                size_bytes: 64 * u64::from(ways) * sets,
+                line_bytes: 64,
+                ways,
+                latency: Duration::from_nanos(1),
+            };
+            let mut optimized = Cache::new(config.clone());
+            let mut naive = NaiveLru::new(&config);
+            for &raw in &stream {
+                let line = raw % span;
+                proptest::prop_assert_eq!(
+                    optimized.access(line),
+                    naive.access(line),
+                    "line {} ({} ways, {} sets)",
+                    line,
+                    ways,
+                    sets
+                );
+            }
+            let (hits, misses) = (optimized.hits(), optimized.misses());
+            proptest::prop_assert_eq!(hits + misses, stream.len() as u64);
         }
     }
 

@@ -13,7 +13,8 @@
 //! This crate provides:
 //!
 //! * [`cache`] — a true-LRU set-associative cache simulator used for the
-//!   L1I/L1D/L2 hierarchy,
+//!   L1I and L2 (the L1D's one reference stream, the cyclic kernel walk,
+//!   misses on every lookup, so the engine keeps only its counters),
 //! * [`core`] — the core configurations (frequency, effective IPC,
 //!   memory-level parallelism, power/area from Table 1),
 //! * [`engine`] — the phase timing engine: it executes a request phase's

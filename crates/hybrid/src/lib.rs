@@ -210,6 +210,10 @@ enum Frames {
         /// recency tick -> lpn, oldest first.
         order: BTreeMap<u64, u64>,
         tick: u64,
+        /// The most recently used lpn. Re-touching it leaves the
+        /// recency order unchanged, so its tick need not move: only the
+        /// relative order of ticks is ever observed (by eviction).
+        mru: Option<u64>,
     },
 }
 
@@ -236,6 +240,7 @@ impl DramTier {
                 entries: HashMap::new(),
                 order: BTreeMap::new(),
                 tick: 0,
+                mru: None,
             },
         };
         DramTier {
@@ -269,17 +274,29 @@ impl DramTier {
                 entries,
                 order,
                 tick,
-            } => match entries.get_mut(&lpn) {
-                Some((at, d)) => {
-                    order.remove(at);
-                    *tick += 1;
-                    *at = *tick;
-                    *d |= dirty;
-                    order.insert(*tick, lpn);
-                    true
+                mru,
+            } => {
+                if *mru == Some(lpn) {
+                    // Already the newest: no re-tick, and a clean read
+                    // changes nothing at all.
+                    if dirty {
+                        entries.get_mut(&lpn).expect("the MRU lpn is resident").1 = true;
+                    }
+                    return true;
                 }
-                None => false,
-            },
+                match entries.get_mut(&lpn) {
+                    Some((at, d)) => {
+                        order.remove(at);
+                        *tick += 1;
+                        *at = *tick;
+                        *d |= dirty;
+                        order.insert(*tick, lpn);
+                        *mru = Some(lpn);
+                        true
+                    }
+                    None => false,
+                }
+            }
         }
     }
 
@@ -300,6 +317,7 @@ impl DramTier {
                 entries,
                 order,
                 tick,
+                mru,
             } => {
                 let evicted = if entries.len() as u64 == self.capacity_pages {
                     let (_, victim) = order.pop_first().expect("tier is non-empty");
@@ -314,6 +332,7 @@ impl DramTier {
                 *tick += 1;
                 entries.insert(lpn, (*tick, dirty));
                 order.insert(*tick, lpn);
+                *mru = Some(lpn);
                 evicted
             }
         };
@@ -344,6 +363,12 @@ pub struct HybridMemory {
     config: HybridConfig,
     ftl: Ftl,
     tier: DramTier,
+    /// 64 B lines per flash page.
+    lines_per_page: u64,
+    /// [`HybridConfig::dram_line_latency`], computed once.
+    dram_line_latency: Duration,
+    /// [`HybridConfig::dram_page_latency`], computed once.
+    dram_page_latency: Duration,
     /// Dirty lpns awaiting flush, in eviction order.
     writeback: VecDeque<u64>,
     /// Mirror of `writeback` membership for O(1) coalescing.
@@ -360,12 +385,24 @@ pub struct HybridMemory {
 
 impl HybridMemory {
     /// Builds the tier, the FTL, and the flash array from `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the flash page is a whole number of 64 B lines.
     pub fn new(config: HybridConfig) -> Self {
+        let page = config.flash.page_bytes;
+        assert!(
+            page >= LINE_BYTES && page.is_multiple_of(LINE_BYTES),
+            "flash page of {page} B is not a whole number of lines"
+        );
         let ftl = Ftl::new(config.flash.clone(), config.overprovision);
         let tier = DramTier::new(&config);
         HybridMemory {
             ftl,
             tier,
+            lines_per_page: page / LINE_BYTES,
+            dram_line_latency: config.dram_line_latency(),
+            dram_page_latency: config.dram_page_latency(),
             writeback: VecDeque::new(),
             writeback_set: HashSet::new(),
             recent_misses: VecDeque::new(),
@@ -453,11 +490,11 @@ impl HybridMemory {
     }
 
     /// The logical flash page holding a line address (64 B units),
-    /// wrapped modulo the FTL's exported capacity.
+    /// wrapped modulo the FTL's exported capacity. A page is a whole
+    /// number of lines, so dividing line units is exact (and cannot
+    /// overflow the way byte units could).
     fn lpn_of_line(&self, line_addr: u64) -> u64 {
-        let byte = line_addr as u128 * LINE_BYTES as u128;
-        let lpn = byte / self.config.flash.page_bytes as u128;
-        (lpn % self.ftl.exported_pages() as u128) as u64
+        line_addr / self.lines_per_page % self.ftl.exported_pages()
     }
 
     /// Consults (and updates) the admission filter for a missing page.
@@ -548,7 +585,7 @@ impl HybridMemory {
                 latency += self.install(lpn, true);
             }
             self.dram_bytes += page;
-            latency += self.config.dram_page_latency();
+            latency += self.dram_page_latency;
         }
         latency
     }
@@ -563,7 +600,7 @@ impl MemoryTiming for HybridMemory {
         if self.tier.touch(lpn, kind == AccessKind::Write) {
             self.hits += 1;
             self.dram_bytes += LINE_BYTES;
-            return self.config.dram_line_latency();
+            return self.dram_line_latency;
         }
         self.misses += 1;
         if !self.admit(lpn) {
@@ -576,7 +613,7 @@ impl MemoryTiming for HybridMemory {
         let fill = self.ftl.read_page_any(lpn);
         let stall = self.install(lpn, kind == AccessKind::Write);
         self.dram_bytes += self.config.flash.page_bytes;
-        fill + stall + self.config.dram_line_latency()
+        fill + stall + self.dram_line_latency
     }
 
     fn bytes_moved(&self) -> u64 {
@@ -827,6 +864,239 @@ mod tests {
             hybrid.line_access(p * lines_per_page, AccessKind::Read);
         }
         assert_eq!(hybrid.tier_hits(), 4);
+    }
+
+    /// A plain object-LRU Helios tier, kept as the differential oracle
+    /// for the fast one: a `HashMap` + `BTreeMap` directory that
+    /// re-ticks on every touch, `u128` lpn arithmetic, and latencies
+    /// recomputed from the config on every access. Only the ObjectLru
+    /// organization is modeled.
+    struct PlainHybrid {
+        config: HybridConfig,
+        ftl: Ftl,
+        entries: HashMap<u64, (u64, bool)>,
+        order: BTreeMap<u64, u64>,
+        tick: u64,
+        writeback: VecDeque<u64>,
+        writeback_set: HashSet<u64>,
+        recent_misses: VecDeque<u64>,
+        recent_set: HashSet<u64>,
+        hits: u64,
+        misses: u64,
+        dram_bytes: u64,
+        writebacks_flushed: u64,
+        programs_coalesced: u64,
+    }
+
+    impl PlainHybrid {
+        fn new(config: HybridConfig) -> Self {
+            PlainHybrid {
+                ftl: Ftl::new(config.flash.clone(), config.overprovision),
+                entries: HashMap::new(),
+                order: BTreeMap::new(),
+                tick: 0,
+                writeback: VecDeque::new(),
+                writeback_set: HashSet::new(),
+                recent_misses: VecDeque::new(),
+                recent_set: HashSet::new(),
+                hits: 0,
+                misses: 0,
+                dram_bytes: 0,
+                writebacks_flushed: 0,
+                programs_coalesced: 0,
+                config,
+            }
+        }
+
+        fn touch(&mut self, lpn: u64, dirty: bool) -> bool {
+            if self.config.capacity_pages() == 0 {
+                return false;
+            }
+            match self.entries.get_mut(&lpn) {
+                Some((at, d)) => {
+                    self.order.remove(at);
+                    self.tick += 1;
+                    *at = self.tick;
+                    *d |= dirty;
+                    self.order.insert(self.tick, lpn);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn install(&mut self, lpn: u64, dirty: bool) -> Duration {
+            let victim = if self.entries.len() as u64 == self.config.capacity_pages() {
+                let (_, victim) = self.order.pop_first().expect("tier is non-empty");
+                let (_, d) = self.entries.remove(&victim).expect("ordered lpn");
+                Some((victim, d))
+            } else {
+                None
+            };
+            self.tick += 1;
+            self.entries.insert(lpn, (self.tick, dirty));
+            self.order.insert(self.tick, lpn);
+            match victim {
+                Some((victim, true)) => {
+                    self.dram_bytes += self.config.flash.page_bytes;
+                    if !self.writeback_set.insert(victim) {
+                        self.programs_coalesced += 1;
+                        return Duration::ZERO;
+                    }
+                    self.writeback.push_back(victim);
+                    if self.writeback.len() >= self.config.writeback_pages.max(1) as usize {
+                        self.drain_writeback()
+                    } else {
+                        Duration::ZERO
+                    }
+                }
+                _ => Duration::ZERO,
+            }
+        }
+
+        fn drain_writeback(&mut self) -> Duration {
+            let mut latency = Duration::ZERO;
+            while let Some(lpn) = self.writeback.pop_front() {
+                self.writeback_set.remove(&lpn);
+                latency += self.ftl.write(lpn).expect("in range").latency;
+                self.writebacks_flushed += 1;
+            }
+            latency
+        }
+
+        fn admit(&mut self, lpn: u64) -> bool {
+            match self.config.admission {
+                AdmissionPolicy::Always => true,
+                AdmissionPolicy::SecondTouch { window } => {
+                    if self.recent_set.contains(&lpn) {
+                        return true;
+                    }
+                    self.recent_misses.push_back(lpn);
+                    self.recent_set.insert(lpn);
+                    while self.recent_misses.len() > window.max(1) as usize {
+                        let old = self.recent_misses.pop_front().expect("non-empty");
+                        self.recent_set.remove(&old);
+                    }
+                    false
+                }
+            }
+        }
+
+        fn line_access(&mut self, line_addr: u64, kind: AccessKind) -> Duration {
+            if self.config.capacity_pages() == 0 {
+                return self.ftl.line_access(line_addr, kind);
+            }
+            let byte = u128::from(line_addr) * u128::from(LINE_BYTES);
+            let lpn = (byte / u128::from(self.config.flash.page_bytes)
+                % u128::from(self.ftl.exported_pages())) as u64;
+            if self.touch(lpn, kind == AccessKind::Write) {
+                self.hits += 1;
+                self.dram_bytes += LINE_BYTES;
+                return self.config.dram_line_latency();
+            }
+            self.misses += 1;
+            if !self.admit(lpn) {
+                return self.ftl.line_access(line_addr, kind);
+            }
+            let fill = self.ftl.read_page_any(lpn);
+            let stall = self.install(lpn, kind == AccessKind::Write);
+            self.dram_bytes += self.config.flash.page_bytes;
+            fill + stall + self.config.dram_line_latency()
+        }
+
+        fn value_write(&mut self, offset: u64, bytes: u64) -> Duration {
+            if self.config.capacity_pages() == 0 {
+                return self.ftl.write_range(offset, bytes);
+            }
+            let page = self.config.flash.page_bytes;
+            let mut latency = Duration::ZERO;
+            for raw in offset / page..=(offset + bytes.max(1) - 1) / page {
+                let lpn = raw % self.ftl.exported_pages();
+                if self.touch(lpn, true) {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                    latency += self.install(lpn, true);
+                }
+                self.dram_bytes += page;
+                latency += self.config.dram_page_latency();
+            }
+            latency
+        }
+
+        fn snapshot(&self) -> TierSnapshot {
+            TierSnapshot {
+                hits: self.hits,
+                misses: self.misses,
+                dram_bytes: self.dram_bytes,
+                flash_bytes: self.ftl.flash().bytes_moved(),
+                resident_pages: self.entries.len() as u64,
+                capacity_pages: self.config.capacity_pages(),
+                writebacks_flushed: self.writebacks_flushed,
+                programs_coalesced: self.programs_coalesced,
+                host_writes: self.ftl.host_writes(),
+                device_programs: self.ftl.device_programs(),
+                gc_moved_pages: self.ftl.gc_moved_pages(),
+                gc_erased_blocks: self.ftl.gc_erased_blocks(),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The MRU-skip tier, integer lpn arithmetic and precomputed
+        /// latencies against the plain tier: one stream of line reads,
+        /// line writes, bulk value writes and drains over a skewed page
+        /// population (so the MRU page is re-touched clean and dirty,
+        /// pages are evicted dirty, and lpns wrap the exported
+        /// capacity), at tiers of 0 pages, 1 page, a few pages and more
+        /// pages than the flash exports, under both admission policies.
+        /// Every latency and the full snapshot must agree after every op.
+        #[test]
+        fn object_lru_tier_matches_the_plain_tier(
+            tier in 0usize..4,
+            second_touch in proptest::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..8, 0u64..10, 0u64..400, 0u64..LINE_BYTES * 2 * 128),
+                1..400,
+            ),
+        ) {
+            let page = tiny_flash().page_bytes;
+            let mut config = tiny_helios([0, 1, 4, 1_024][tier] * page);
+            config.writeback_pages = 2;
+            if second_touch {
+                config.admission = AdmissionPolicy::SecondTouch { window: 3 };
+            }
+            let lines_per_page = page / LINE_BYTES;
+            let mut fast = HybridMemory::new(config.clone());
+            let mut plain = PlainHybrid::new(config);
+            for (i, &(kind, hot, cold, len)) in ops.iter().enumerate() {
+                // Seven in ten ops stay on four hot pages; the rest roam
+                // far enough past the exported capacity to wrap.
+                let page_idx = if hot < 7 { hot % 4 } else { cold };
+                let line = page_idx * lines_per_page + len % lines_per_page;
+                let (a, b) = match kind {
+                    0..=3 => (
+                        fast.line_access(line, AccessKind::Read),
+                        plain.line_access(line, AccessKind::Read),
+                    ),
+                    4 | 5 => (
+                        fast.line_access(line, AccessKind::Write),
+                        plain.line_access(line, AccessKind::Write),
+                    ),
+                    6 => (
+                        fast.value_write(line * LINE_BYTES, len),
+                        plain.value_write(line * LINE_BYTES, len),
+                    ),
+                    _ => (fast.drain_writeback(), plain.drain_writeback()),
+                };
+                proptest::prop_assert_eq!(a, b, "latency of op {}", i);
+                proptest::prop_assert_eq!(fast.snapshot(), plain.snapshot(), "after op {}", i);
+                proptest::prop_assert_eq!(
+                    fast.bytes_moved(),
+                    plain.dram_bytes + plain.ftl.flash().bytes_moved()
+                );
+            }
+        }
     }
 
     #[test]

@@ -210,54 +210,6 @@ impl FlashArray {
     pub fn erases(&self) -> u64 {
         self.erases
     }
-
-    /// Snapshot of the traffic counters, for the request memo layer.
-    pub fn counters(&self) -> FlashCounters {
-        FlashCounters {
-            bytes_moved: self.bytes_moved,
-            reads: self.reads,
-            programs: self.programs,
-        }
-    }
-
-    /// Credits the traffic counters by a recorded per-request delta.
-    /// Line reads carry no device state (fixed latency, no wear), so
-    /// replaying a read-only request this way is exact; the memo layer
-    /// never arms flash writes (programs/erases drive GC and wear).
-    pub fn credit(&mut self, delta: &FlashCounters) {
-        self.bytes_moved += delta.bytes_moved;
-        self.reads += delta.reads;
-        self.programs += delta.programs;
-    }
-}
-
-/// Traffic-counter snapshot of a [`FlashArray`]; also the per-request
-/// delta the memo layer replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlashCounters {
-    /// Total bytes moved.
-    pub bytes_moved: u64,
-    /// Page/line reads.
-    pub reads: u64,
-    /// Page/line programs.
-    pub programs: u64,
-}
-
-impl FlashCounters {
-    /// Counter growth since an `earlier` snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter went backwards (snapshots out of order or a
-    /// reset in between).
-    #[must_use]
-    pub fn delta(&self, earlier: &FlashCounters) -> FlashCounters {
-        FlashCounters {
-            bytes_moved: self.bytes_moved - earlier.bytes_moved,
-            reads: self.reads - earlier.reads,
-            programs: self.programs - earlier.programs,
-        }
-    }
 }
 
 impl MemoryTiming for FlashArray {

@@ -218,13 +218,6 @@ impl Ftl {
         &self.flash
     }
 
-    /// Credits the underlying flash traffic counters by a recorded
-    /// per-request delta (memo replay of a read-only request; the FTL's
-    /// own mapping/GC state is only touched by writes, which never arm).
-    pub fn credit_flash(&mut self, delta: &crate::flash::FlashCounters) {
-        self.flash.credit(delta);
-    }
-
     /// Writes the logical pages covering `bytes` at logical byte
     /// `offset`, returning the total device time (programs + any GC).
     /// Offsets wrap modulo the exported capacity, so callers can hand in

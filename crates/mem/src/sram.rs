@@ -47,12 +47,6 @@ impl SramBuffer {
             ..SramBuffer::on_die()
         }
     }
-
-    /// Credits the traffic counter by a recorded per-request delta (the
-    /// memo layer's replay path; the buffer has no timing state at all).
-    pub fn credit_bytes(&mut self, bytes: u64) {
-        self.bytes_moved += bytes;
-    }
 }
 
 impl MemoryTiming for SramBuffer {
