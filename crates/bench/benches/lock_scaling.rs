@@ -8,27 +8,20 @@ use std::time::Duration as StdBenchDuration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use densekv_baseline::host::{measure, Variant};
+use densekv_baseline::host::{host_cores, measure, scaling_curve, Variant};
 
 fn bench_lock_scaling(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(2);
-    let thread_counts: Vec<u32> = [1u32, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= cores)
-        .collect();
+    let cores = host_cores();
 
     // Print the full scaling curve once (the Table 4 ordering).
     eprintln!("[lock_scaling] host has {cores} cores");
     for variant in Variant::ALL {
-        let curve: Vec<String> = thread_counts
-            .iter()
-            .map(|&t| {
-                let p = measure(variant, t, StdDuration::from_millis(400));
-                format!("{t}T={:.0}K", p.ops_per_sec / 1000.0)
-            })
-            .collect();
+        let curve: Vec<String> = scaling_curve(&[1, 2, 4, 8, 16], |t| {
+            measure(variant, t, StdDuration::from_millis(400))
+        })
+        .iter()
+        .map(|p| format!("{}T={:.0}K", p.threads, p.ops_per_sec / 1000.0))
+        .collect();
         eprintln!(
             "[lock_scaling] {:<28} {}",
             variant.label(),
@@ -47,9 +40,9 @@ fn bench_lock_scaling(c: &mut Criterion) {
                 // Scale measurement time with requested iterations, within
                 // sane bounds.
                 let ms = (iters / 50).clamp(100, 800);
-                let point = measure(variant, threads, StdDuration::from_millis(ms));
+                let ops_per_sec = measure(variant, threads, StdDuration::from_millis(ms));
                 // Report time-per-op equivalent for the iteration count.
-                StdDuration::from_secs_f64(iters as f64 / point.ops_per_sec)
+                StdDuration::from_secs_f64(iters as f64 / ops_per_sec)
             })
         });
     }

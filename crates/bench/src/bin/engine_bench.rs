@@ -4,21 +4,23 @@
 //! contention ordering over the *model* store; this one re-runs the
 //! same three locking architectures — one global mutex (Memcached
 //! 1.4), striped locks, and striped locks with per-stripe bag-LRU —
-//! over [`densekv_engine::StripedEngine`], a store that really moves
-//! bytes through tier pages and bitmaps. Seeded Zipf keys, a 90/10
-//! GET/SET mix, and value sizes straddling every page tier make the
-//! hot path representative; `results/engine_bench.csv` records both
-//! absolute throughput and per-variant scaling so the striped designs'
-//! advantage over the global lock is visible even on boxes where raw
-//! ops/s saturates early.
+//! over [`densekv_engine::Engine`] behind [`densekv_kv::Striped`], a
+//! store that really moves bytes through tier pages and bitmaps, on
+//! the same real-thread harness ([`densekv_baseline::host`]). Seeded
+//! Zipf keys, a 90/10 GET/SET mix, and value sizes straddling every
+//! page tier make the hot path representative;
+//! `results/engine_bench.csv` records both absolute throughput and
+//! per-variant scaling so the striped designs' advantage over the
+//! global lock is visible even on boxes where raw ops/s saturates
+//! early. Thread counts above the host's cores are skipped.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use densekv::report::TextTable;
-use densekv_engine::StripedEngine;
-use densekv_kv::concurrent::SharedStore;
+use densekv_baseline::host::{run_threads, scaling_curve};
+use densekv_engine::Engine;
+use densekv_kv::lru::EvictionKind;
+use densekv_kv::{StoreBackend, StoreConfig, Striped};
 use densekv_sim::dist::Zipf;
 use densekv_sim::SplitRng;
 
@@ -53,12 +55,17 @@ impl Variant {
         }
     }
 
-    fn build(self) -> Arc<StripedEngine> {
-        Arc::new(match self {
-            Variant::Global => StripedEngine::global(MEMORY),
-            Variant::Striped => StripedEngine::striped(MEMORY, STRIPES),
-            Variant::StripedBags => StripedEngine::striped_bags(MEMORY, STRIPES),
-        })
+    fn build(self) -> Striped<Engine> {
+        let (stripes, eviction) = match self {
+            Variant::Global => (1, EvictionKind::StrictLru),
+            Variant::Striped => (STRIPES, EvictionKind::StrictLru),
+            Variant::StripedBags => (STRIPES, EvictionKind::Bags),
+        };
+        let config = StoreConfig {
+            eviction,
+            ..StoreConfig::with_capacity(MEMORY)
+        };
+        Striped::new(config, stripes, |config| Box::new(Engine::new(config)))
     }
 }
 
@@ -67,56 +74,40 @@ fn value_for(id: u64) -> Vec<u8> {
 }
 
 /// Sustained mixed-workload throughput of `variant` under `threads`
-/// real host threads.
+/// real host threads. A GET hit's value is copied out under the stripe
+/// lock; a SET's value is built before the lock is taken.
 fn measure(variant: Variant, threads: u32, duration: Duration) -> f64 {
     let store = variant.build();
     for id in 0..KEYS {
+        let key = densekv_workload::key_bytes(id);
         store
-            .set(&densekv_workload::key_bytes(id), value_for(id), 0)
+            .lock(store.stripe_of(&key))
+            .set_with_flags(&key, value_for(id), 0, None, 0)
             .expect("preload fits the budget");
     }
-    let zipf = Arc::new(Zipf::new(KEYS as usize, ALPHA));
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads as usize + 1));
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let store = Arc::clone(&store);
-            let zipf = Arc::clone(&zipf);
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                // Batched draws: the Zipf sampler and the GET/SET coin
-                // drain `SplitRng`'s refill buffer — the same RNG hot
-                // path the simulator's samplers share.
-                let mut rng = SplitRng::new(0xE1213E + u64::from(t));
-                let mut ops = 0u64;
-                barrier.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    // 64 ops per stop-flag check.
-                    for _ in 0..64 {
-                        let id = zipf.sample(&mut rng) as u64;
-                        let key = densekv_workload::key_bytes(id);
-                        if rng.next_bool(0.9) {
-                            let _ = store.get(&key, 0);
-                        } else {
-                            let _ = store.set(&key, value_for(id), 0);
-                        }
-                        ops += 1;
-                    }
-                }
-                ops
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let total: u64 = workers
-        .into_iter()
-        .map(|w| w.join().expect("worker thread panicked"))
-        .sum();
-    total as f64 / start.elapsed().as_secs_f64()
+    let zipf = Zipf::new(KEYS as usize, ALPHA);
+    run_threads(threads, duration, |t| {
+        // Batched draws: the Zipf sampler and the GET/SET coin drain
+        // `SplitRng`'s refill buffer — the same RNG hot path the
+        // simulator's samplers share.
+        let mut rng = SplitRng::new(0xE1213E + u64::from(t));
+        let (store, zipf) = (&store, &zipf);
+        move || {
+            let id = zipf.sample(&mut rng) as u64;
+            let key = densekv_workload::key_bytes(id);
+            let stripe = store.stripe_of(&key);
+            if rng.next_bool(0.9) {
+                let hit = store
+                    .lock(stripe)
+                    .get(&key, 0)
+                    .map(|hit| hit.value().to_vec());
+                std::hint::black_box(hit);
+            } else {
+                let value = value_for(id);
+                let _ = store.lock(stripe).set_with_flags(&key, value, 0, None, 0);
+            }
+        }
+    })
 }
 
 /// Median of `reps` measurements (medians shrug off a scheduler hiccup
@@ -142,17 +133,17 @@ fn main() {
         "scaling_x".into(),
     ]);
     for variant in Variant::ALL {
-        let mut base = 0.0;
-        for &threads in thread_counts {
-            let ops = median_ops(variant, threads, duration, reps);
-            if threads == 1 {
-                base = ops;
-            }
+        let curve = scaling_curve(thread_counts, |threads| {
+            median_ops(variant, threads, duration, reps)
+        });
+        // Every curve starts at one thread: the scaling baseline.
+        let base = curve[0].ops_per_sec;
+        for point in curve {
             table.row(vec![
                 variant.label().into(),
-                threads.to_string(),
-                format!("{ops:.0}"),
-                format!("{:.2}", ops / base),
+                point.threads.to_string(),
+                format!("{:.0}", point.ops_per_sec),
+                format!("{:.2}", point.ops_per_sec / base),
             ]);
         }
     }

@@ -31,8 +31,8 @@
 use densekv::report::TextTable;
 use densekv_bench::emit_raw;
 use densekv_serve::{
-    preload, run_closed_loop, run_open_loop, spawn, BackendKind, ClosedLoopConfig, Connection,
-    LoadMix, MetricsConfig, OpenLoopConfig, ServeConfig, Verb,
+    preload, run_closed_loop, run_open_loop, spawn, ClosedLoopConfig, Connection, LoadMix,
+    MetricsConfig, OpenLoopConfig, ServeConfig, Verb,
 };
 use densekv_telemetry::Quantiles;
 
@@ -79,9 +79,9 @@ impl Row {
 
 /// Closed-loop throughput against a fresh server with the given plane.
 fn capacity_with(metrics: MetricsConfig, workers: usize, requests: u64) -> f64 {
-    let config = ServeConfig::ephemeral()
-        .with_metrics(metrics)
-        .with_backend(BackendKind::from_env());
+    // The `DENSEKV_SERVE_*` overrides pick the backend; the plane under
+    // test is set after them, so it is always the one measured.
+    let config = ServeConfig::from_env().with_metrics(metrics);
     let server = spawn(config).expect("bind localhost");
     let mix = LoadMix::etc(POPULATION, VALUE_BYTES, SEED);
     preload(server.addr(), &mix).expect("preload");
@@ -104,18 +104,14 @@ fn main() {
     let sample_every = if quick { 32 } else { 128 };
 
     // ---- Observed run: open loop against an instrumented server ----
-    let server = spawn(
-        ServeConfig::ephemeral()
-            .with_metrics(MetricsConfig {
-                sample_every,
-                slow_threshold: std::time::Duration::from_millis(5),
-                // A 250 ms window so the run closes several windows and the
-                // flight-recorder artifact carries a real snapshot ring.
-                window: std::time::Duration::from_millis(250),
-                ..MetricsConfig::default()
-            })
-            .with_backend(BackendKind::from_env()),
-    )
+    let server = spawn(ServeConfig::from_env().with_metrics(MetricsConfig {
+        sample_every,
+        slow_threshold: std::time::Duration::from_millis(5),
+        // A 250 ms window so the run closes several windows and the
+        // flight-recorder artifact carries a real snapshot ring.
+        window: std::time::Duration::from_millis(250),
+        ..MetricsConfig::default()
+    }))
     .expect("bind localhost");
     let addr = server.addr();
     let mix = LoadMix::etc(POPULATION, VALUE_BYTES, SEED);

@@ -193,7 +193,7 @@ pub struct TailPoint {
 }
 
 /// Runs the tail experiment: each design's cluster at the
-/// [`LOAD_POINTS`] fractions of its own hit capacity (8 stacks, single
+/// `LOAD_POINTS` fractions of its own hit capacity (8 stacks, single
 /// GETs, Zipf keys).
 pub fn cluster_tail(effort: SweepEffort, jobs: Jobs) -> Vec<TailPoint> {
     let (requests, warmup) = request_budget(effort);

@@ -2,8 +2,9 @@
 //! layer: spans, metrics, and timeline gauges for [`CoreSim`] runs.
 //!
 //! [`CoreSim`] itself stays telemetry-free — it returns a
-//! [`PhaseBreakdown`] and exposes raw counters, and this module turns
-//! them into [`densekv_telemetry`] records. [`CoreObserver`] drives a
+//! [`PhaseBreakdown`](crate::sim::PhaseBreakdown) and exposes raw
+//! counters, and this module turns them into [`densekv_telemetry`]
+//! records. [`CoreObserver`] drives a
 //! closed-loop request sequence (each request departs when the previous
 //! response lands, TPS = 1/RTT as in §5.3) and records every request
 //! into a [`Telemetry`] bundle as it goes. Telemetry is passive: the

@@ -131,7 +131,7 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the line's tag reaches the [`EMPTY`] sentinel — a
+    /// Panics if the line's tag reaches the `EMPTY` sentinel — a
     /// device beyond the modeled address range.
     pub fn access(&mut self, line_addr: u64) -> bool {
         let (set_idx, tag) = match self.pow2 {

@@ -14,8 +14,9 @@
 //! * [`protocol`] / [`binary`] — the text and binary wire protocols,
 //! * [`server`] / [`client`] — the command loop and the client-side
 //!   codec, so full byte-level request/response loops run in-process,
-//! * [`concurrent`] — thread-safe wrappers (global lock vs. striped)
-//!   used by the baseline lock-scaling experiments,
+//! * [`striped`] — [`Striped`], any backend split across independently
+//!   locked stripes: the global-lock, striped and Bags designs of the
+//!   baseline lock-scaling experiments and the live front-end's shards,
 //! * [`backend`] — the [`StoreBackend`] trait the command loop
 //!   dispatches through, so real engines (`densekv-engine`) serve the
 //!   same protocol as the model store.
@@ -38,15 +39,16 @@
 pub mod backend;
 pub mod binary;
 pub mod client;
-pub mod concurrent;
 pub mod hash;
 pub mod lru;
 pub mod protocol;
 pub mod server;
 pub mod slab;
 pub mod store;
+pub mod striped;
 pub mod table;
 
 pub use backend::StoreBackend;
 pub use server::{Clock, FixedClock, WallClock};
 pub use store::{KvStore, StoreConfig, StoreError, StoreStats};
+pub use striped::Striped;

@@ -150,6 +150,23 @@ impl StoreStats {
         }
     }
 
+    /// Adds `other`'s counters and gauges into these, field by field:
+    /// how a striped store folds its per-stripe stats into one.
+    pub fn merge(&mut self, other: &StoreStats) {
+        self.get_hits += other.get_hits;
+        self.get_misses += other.get_misses;
+        self.sets += other.sets;
+        self.deletes += other.deletes;
+        self.evictions += other.evictions;
+        self.expirations += other.expirations;
+        self.touches += other.touches;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.expired_bytes += other.expired_bytes;
+        self.items += other.items;
+        self.bytes += other.bytes;
+    }
+
     /// Counter change since an `earlier` snapshot of the same store.
     ///
     /// Monotonic counters subtract; the instantaneous gauges (`items`,
@@ -264,8 +281,8 @@ pub struct SetOutcome {
     pub trace: AccessTrace,
 }
 
-/// The single-threaded store. Concurrency wrappers live in
-/// [`crate::concurrent`].
+/// The single-threaded store. [`crate::Striped`] splits it (or any
+/// other backend) across independently locked stripes.
 ///
 /// # Examples
 ///

@@ -4,13 +4,14 @@
 //! measurements from the TCP front-end.
 //!
 //! The instruments are the *same types* the simulator fills
-//! ([`MetricsRegistry`], [`LogHistogram`], [`Tracer`]), bridged to wall
-//! time by [`Stopwatch`]. That is the point: a `stats latency` reply
-//! from the live server and a percentile row from the simulator are
-//! directly comparable numbers, which is what lets `serve_validate`
-//! treat the simulator as a timing oracle and what lets the
-//! `serve_obs` experiment cross-check server-side percentiles against
-//! the load generator's client-side view.
+//! ([`MetricsRegistry`], [`LogHistogram`](densekv_telemetry::LogHistogram),
+//! [`Tracer`]), bridged to wall time by [`Stopwatch`]. That is the
+//! point: a `stats latency` reply from the live server and a
+//! percentile row from the simulator are directly comparable numbers,
+//! which is what lets `serve_validate` treat the simulator as a timing
+//! oracle and what lets the `serve_obs` experiment cross-check
+//! server-side percentiles against the load generator's client-side
+//! view.
 //!
 //! Observability here is **opt-out passive**: with
 //! [`MetricsConfig::enabled`] false every record call is a branch and

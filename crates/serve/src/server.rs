@@ -323,13 +323,13 @@ impl ServerHandle {
     /// Live items in the shared store.
     #[must_use]
     pub fn items(&self) -> u64 {
-        self.shared.store.len()
+        self.shared.store.shards().len()
     }
 
     /// Store counters (the same numbers the `stats` verb reports).
     #[must_use]
     pub fn store_stats(&self) -> densekv_kv::StoreStats {
-        self.shared.store.stats()
+        self.shared.store.shards().stats()
     }
 
     /// Stops accepting, interrupts every live connection, joins the
@@ -461,7 +461,7 @@ fn execute(shared: &Shared, command: Command, out: &mut BytesMut) -> (Dispositio
                 b"latency" => shared.metrics.render_stats_latency(out),
                 b"shards" => shared
                     .metrics
-                    .render_stats_shards(&shared.store.shard_stats(), out),
+                    .render_stats_shards(&shared.store.shards().stripe_stats(), out),
                 b"windows" => shared.metrics.render_stats_windows(out),
                 b"slo" => shared.metrics.render_stats_slo(out),
                 b"dump" => {
@@ -476,7 +476,7 @@ fn execute(shared: &Shared, command: Command, out: &mut BytesMut) -> (Dispositio
                     out.extend_from_slice(b"RESET\r\n");
                 }
                 b"engine" => densekv_kv::server::render_backend_stats(
-                    &shared.store.backend_stat_lines(),
+                    &shared.store.shards().backend_stat_lines(),
                     out,
                 ),
                 _ => out.extend_from_slice(b"ERROR\r\n"),
@@ -488,8 +488,8 @@ fn execute(shared: &Shared, command: Command, out: &mut BytesMut) -> (Dispositio
                 &shared.metrics,
                 &stats_of(&shared.counters),
                 shared.active.load(Ordering::Relaxed),
-                &shared.store.stats(),
-                &shared.store.backend_stat_lines(),
+                &shared.store.shards().stats(),
+                &shared.store.shards().backend_stat_lines(),
             );
             out.extend_from_slice(text.as_bytes());
             out.extend_from_slice(b"END\r\n");

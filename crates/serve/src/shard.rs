@@ -1,26 +1,25 @@
 //! The shared store behind the front-end: the hash space striped over
-//! independently locked [`KvStore`]s.
+//! independently locked backends.
 //!
-//! This is the live-traffic counterpart of
-//! [`densekv_kv::concurrent::StripedStore`]: same shard-by-upper-hash-
-//! bits layout, but dispatching full protocol [`Command`]s through
-//! [`handle_command`] instead of a narrow get/set trait, so every verb
-//! the simulator's functional path supports works over a real socket
-//! too. One shard reproduces Memcached 1.4's global cache lock; many
-//! shards are the 1.6-style striped design whose contention difference
-//! the paper's §3.6 (and Table 4's "Bags" row) turns on.
+//! This is the live-traffic face of [`densekv_kv::Striped`]: the same
+//! stripes, but dispatching full protocol [`Command`]s through
+//! [`handle_command`], so every verb the simulator's functional path
+//! supports works over a real socket too. One shard reproduces
+//! Memcached 1.4's global cache lock; many shards are the 1.6-style
+//! striped design whose contention difference the paper's §3.6 (and
+//! Table 4's "Bags" row) turns on.
+
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use parking_lot::Mutex;
 
 use densekv_engine::Engine;
-use densekv_kv::hash::jenkins_oaat;
 use densekv_kv::protocol::{render_end, render_value, Command};
 use densekv_kv::server::{
     handle_command, render_backend_stats, render_stats, render_store_metrics, Clock, Disposition,
 };
-use densekv_kv::store::{KvStore, StoreConfig, StoreStats};
-use densekv_kv::StoreBackend;
+use densekv_kv::store::{KvStore, StoreConfig};
+use densekv_kv::{StoreBackend, Striped};
 
 use crate::metrics::ServeMetrics;
 
@@ -49,16 +48,6 @@ impl BackendKind {
         }
     }
 
-    /// The backend selected by `DENSEKV_SERVE_BACKEND`, defaulting to
-    /// the model store when unset or unrecognised.
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var("DENSEKV_SERVE_BACKEND")
-            .ok()
-            .and_then(|v| BackendKind::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// The backend's canonical name.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -84,12 +73,12 @@ impl BackendKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTiming {
     /// Total lock acquisition wait.
-    pub lock_wait: std::time::Duration,
+    pub lock_wait: Duration,
     /// Total time holding shard locks (store work).
-    pub hold: std::time::Duration,
+    pub hold: Duration,
 }
 
-/// A thread-safe store sharded across independently locked [`KvStore`]s.
+/// A thread-safe store sharded across independently locked backends.
 ///
 /// # Examples
 ///
@@ -109,18 +98,10 @@ pub struct ShardTiming {
 /// store.dispatch(cmd, &FixedClock(0), &mut out);
 /// assert_eq!(&out[..], b"STORED\r\n");
 /// ```
+#[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<Mutex<Box<dyn StoreBackend + Send>>>,
+    shards: Striped<dyn StoreBackend + Send>,
     backend: BackendKind,
-}
-
-impl std::fmt::Debug for ShardedStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .field("backend", &self.backend)
-            .finish()
-    }
 }
 
 impl ShardedStore {
@@ -144,36 +125,23 @@ impl ShardedStore {
     /// Panics if `shards` is zero.
     #[must_use]
     pub fn new_with_backend(config: StoreConfig, shards: usize, backend: BackendKind) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let per_shard = StoreConfig {
-            memory_bytes: config.memory_bytes / shards as u64,
-            ..config
-        };
         ShardedStore {
-            shards: (0..shards)
-                .map(|_| Mutex::new(backend.build(per_shard.clone())))
-                .collect(),
+            shards: Striped::new(config, shards, |config| backend.build(config)),
             backend,
         }
     }
 
-    /// Number of lock stripes.
+    /// The striped store itself: item counts, merged and per-shard
+    /// counters, and merged backend gauges.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    pub fn shards(&self) -> &Striped<dyn StoreBackend + Send> {
+        &self.shards
     }
 
     /// The store implementation behind the shard locks.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// The shard owning `key`: upper hash bits, like
-    /// [`densekv_kv::concurrent::StripedStore`], so shard choice stays
-    /// independent of the per-shard bucket index (low bits).
-    fn shard_of(&self, key: &[u8]) -> usize {
-        (jenkins_oaat(key) >> 32) as usize % self.shards.len()
     }
 
     /// Executes one parsed command, appending any response to `out`.
@@ -185,59 +153,7 @@ impl ShardedStore {
     /// rendered into `out` before that key's lock is released. `stats`
     /// and `flush_all` visit every shard.
     pub fn dispatch(&self, command: Command, clock: &dyn Clock, out: &mut BytesMut) -> Disposition {
-        match command {
-            Command::Get { keys, with_cas } => {
-                let now = clock.now_secs();
-                for key in &keys {
-                    let mut shard = self.shards[self.shard_of(key)].lock();
-                    if let Some(hit) = shard.get(key, now) {
-                        render_value(out, key, &hit, with_cas);
-                    }
-                }
-                render_end(out);
-                Disposition::KeepAlive
-            }
-            // Plain `stats` renders the fold; `stats engine` renders the
-            // backend's internal gauges (ERROR under the model store,
-            // which exposes none). Other sub-commands belong to the
-            // serving layer's observability plane — at this layer (no
-            // plane attached) they answer ERROR like memcached does for
-            // unknown stats args.
-            Command::Stats { arg: None } => {
-                render_stats(&self.stats(), out);
-                Disposition::KeepAlive
-            }
-            Command::Stats { arg: Some(arg) } => {
-                if arg.as_ref() == b"engine" {
-                    render_backend_stats(&self.backend_stat_lines(), out);
-                } else {
-                    out.extend_from_slice(b"ERROR\r\n");
-                }
-                Disposition::KeepAlive
-            }
-            Command::Metrics => {
-                render_store_metrics(&self.stats(), out);
-                Disposition::KeepAlive
-            }
-            Command::FlushAll => {
-                for shard in &self.shards {
-                    shard.lock().flush_all();
-                }
-                out.extend_from_slice(b"OK\r\n");
-                Disposition::KeepAlive
-            }
-            Command::Set { ref key, .. }
-            | Command::IncrDecr { ref key, .. }
-            | Command::Delete { ref key, .. }
-            | Command::Touch { ref key, .. } => {
-                let shard = self.shard_of(key);
-                handle_command(&mut **self.shards[shard].lock(), command, clock, out)
-            }
-            // Version/Quit touch no data; any shard's loop renders them.
-            Command::Version | Command::Quit => {
-                handle_command(&mut **self.shards[0].lock(), command, clock, out)
-            }
-        }
+        self.execute(command, clock, out, None).0
     }
 
     /// Like [`ShardedStore::dispatch`], but measuring shard-lock wait
@@ -251,13 +167,27 @@ impl ShardedStore {
         out: &mut BytesMut,
         metrics: &ServeMetrics,
     ) -> (Disposition, ShardTiming) {
+        self.execute(command, clock, out, Some(metrics))
+    }
+
+    /// The one dispatch body; shard visits are timed when `metrics` is
+    /// given. Introspection and whole-store verbs (`stats`, `metrics`,
+    /// `flush_all`) are never timed: they visit every shard and would
+    /// swamp the per-request lock accounting the plane is after.
+    fn execute(
+        &self,
+        command: Command,
+        clock: &dyn Clock,
+        out: &mut BytesMut,
+        metrics: Option<&ServeMetrics>,
+    ) -> (Disposition, ShardTiming) {
         let mut timing = ShardTiming::default();
         let disposition = match command {
             Command::Get { keys, with_cas } => {
                 let now = clock.now_secs();
                 for key in &keys {
-                    let idx = self.shard_of(key);
-                    self.with_shard_timed(idx, metrics, &mut timing, |shard| {
+                    let idx = self.shards.stripe_of(key);
+                    self.with_shard(idx, metrics, &mut timing, |shard| {
                         if let Some(hit) = shard.get(key, now) {
                             render_value(out, key, &hit, with_cas);
                         }
@@ -266,54 +196,73 @@ impl ShardedStore {
                 render_end(out);
                 Disposition::KeepAlive
             }
-            Command::Stats { .. } | Command::Metrics | Command::FlushAll => {
-                // Introspection and whole-store verbs take the untimed
-                // path: they visit every shard and would swamp the
-                // per-request lock accounting the plane is after.
-                self.dispatch(command, clock, out)
+            // Plain `stats` renders the fold; `stats engine` renders the
+            // backend's internal gauges (ERROR under the model store,
+            // which exposes none). Other sub-commands belong to the
+            // serving layer's observability plane — at this layer (no
+            // plane attached) they answer ERROR like memcached does for
+            // unknown stats args.
+            Command::Stats { arg: None } => {
+                render_stats(&self.shards.stats(), out);
+                Disposition::KeepAlive
             }
-            Command::Set { .. }
-            | Command::IncrDecr { .. }
-            | Command::Delete { .. }
-            | Command::Touch { .. } => {
-                let idx = match &command {
-                    Command::Set { key, .. }
-                    | Command::IncrDecr { key, .. }
-                    | Command::Delete { key, .. }
-                    | Command::Touch { key, .. } => self.shard_of(key),
-                    _ => unreachable!("outer arm is key-carrying"),
-                };
-                self.with_shard_timed(idx, metrics, &mut timing, |shard| {
+            Command::Stats { arg: Some(arg) } => {
+                if arg.as_ref() == b"engine" {
+                    render_backend_stats(&self.shards.backend_stat_lines(), out);
+                } else {
+                    out.extend_from_slice(b"ERROR\r\n");
+                }
+                Disposition::KeepAlive
+            }
+            Command::Metrics => {
+                render_store_metrics(&self.shards.stats(), out);
+                Disposition::KeepAlive
+            }
+            Command::FlushAll => {
+                for idx in 0..self.shards.stripe_count() {
+                    self.shards.lock(idx).flush_all();
+                }
+                out.extend_from_slice(b"OK\r\n");
+                Disposition::KeepAlive
+            }
+            Command::Set { ref key, .. }
+            | Command::IncrDecr { ref key, .. }
+            | Command::Delete { ref key, .. }
+            | Command::Touch { ref key, .. } => {
+                let idx = self.shards.stripe_of(key);
+                self.with_shard(idx, metrics, &mut timing, |shard| {
                     handle_command(shard, command, clock, out)
                 })
             }
-            Command::Version | Command::Quit => {
-                self.with_shard_timed(0, metrics, &mut timing, |shard| {
-                    handle_command(shard, command, clock, out)
-                })
-            }
+            // Version/Quit touch no data; any shard's loop renders them.
+            Command::Version | Command::Quit => self.with_shard(0, metrics, &mut timing, |shard| {
+                handle_command(shard, command, clock, out)
+            }),
         };
         (disposition, timing)
     }
 
-    /// Runs `f` under shard `idx`'s lock, timing acquisition wait and
-    /// hold and recording both into `metrics` and `timing`. Contention
-    /// is detected by `try_lock` losing the race before falling back to
-    /// a blocking `lock`.
-    fn with_shard_timed<R>(
+    /// Runs `f` under shard `idx`'s lock. With `metrics`, times the
+    /// acquisition wait and the hold and records both into `metrics`
+    /// and `timing`; contention is detected by `try_lock` losing the
+    /// race before falling back to a blocking `lock`.
+    fn with_shard<R>(
         &self,
         idx: usize,
-        metrics: &ServeMetrics,
+        metrics: Option<&ServeMetrics>,
         timing: &mut ShardTiming,
         f: impl FnOnce(&mut dyn StoreBackend) -> R,
     ) -> R {
-        let t0 = std::time::Instant::now();
-        let (mut guard, contended) = match self.shards[idx].try_lock() {
+        let Some(metrics) = metrics else {
+            return f(&mut **self.shards.lock(idx));
+        };
+        let t0 = Instant::now();
+        let (mut guard, contended) = match self.shards.try_lock(idx) {
             Some(guard) => (guard, false),
-            None => (self.shards[idx].lock(), true),
+            None => (self.shards.lock(idx), true),
         };
         let wait = t0.elapsed();
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         let result = f(&mut **guard);
         drop(guard);
         let hold = t1.elapsed();
@@ -321,79 +270,6 @@ impl ShardedStore {
         timing.lock_wait += wait;
         timing.hold += hold;
         result
-    }
-
-    /// Counters summed across shards (rendered by the `stats` verb).
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for shard in &self.shards {
-            let s = shard.lock().stats();
-            total.get_hits += s.get_hits;
-            total.get_misses += s.get_misses;
-            total.sets += s.sets;
-            total.deletes += s.deletes;
-            total.touches += s.touches;
-            total.evictions += s.evictions;
-            total.expirations += s.expirations;
-            total.items += s.items;
-            total.bytes += s.bytes;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.expired_bytes += s.expired_bytes;
-        }
-        total
-    }
-
-    /// Each shard's counters separately (the `stats shards` view).
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<StoreStats> {
-        self.shards.iter().map(|s| s.lock().stats()).collect()
-    }
-
-    /// Backend-internal gauges merged across shards by summing lines
-    /// with matching names (every shard runs the same backend, so the
-    /// line sets agree). Ratio lines don't sum — `*_fill_pct` is
-    /// recomputed from the merged `*_used_pages` / `*_total_pages`
-    /// totals. Empty under the model store, which exposes no
-    /// internals — [`render_backend_stats`] turns that into `ERROR`.
-    #[must_use]
-    pub fn backend_stat_lines(&self) -> Vec<(String, u64)> {
-        let mut merged: Vec<(String, u64)> = Vec::new();
-        for shard in &self.shards {
-            for (name, value) in shard.lock().backend_stat_lines() {
-                match merged.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, total)) => *total += value,
-                    None => merged.push((name, value)),
-                }
-            }
-        }
-        let find = |merged: &[(String, u64)], name: &str| {
-            merged.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-        };
-        for i in 0..merged.len() {
-            let Some(prefix) = merged[i].0.strip_suffix("_fill_pct") else {
-                continue;
-            };
-            let used = find(&merged, &format!("{prefix}_used_pages"));
-            let total = find(&merged, &format!("{prefix}_total_pages"));
-            if let (Some(used), Some(total)) = (used, total) {
-                merged[i].1 = (used * 100).checked_div(total).unwrap_or(0);
-            }
-        }
-        merged
-    }
-
-    /// Total live items across shards.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True when no items are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -453,12 +329,12 @@ mod tests {
         for i in 0..40u32 {
             run(&store, format!("set key{i} 0 0 1\r\nx\r\n").as_bytes(), 0);
         }
-        assert_eq!(store.len(), 40);
+        assert_eq!(store.shards().len(), 40);
         let out = run(&store, b"stats\r\n", 0);
         assert!(out.contains("STAT cmd_set 40"));
         assert!(out.contains("STAT curr_items 40"));
         assert_eq!(run(&store, b"flush_all\r\n", 0), "OK\r\n");
-        assert!(store.is_empty());
+        assert!(store.shards().is_empty());
     }
 
     #[test]
@@ -474,7 +350,7 @@ mod tests {
     #[test]
     fn single_shard_is_the_global_lock_design() {
         let store = ShardedStore::new(StoreConfig::with_capacity(8 << 20), 1);
-        assert_eq!(store.shard_count(), 1);
+        assert_eq!(store.shards().stripe_count(), 1);
         assert_eq!(run(&store, b"set k 0 0 1\r\nx\r\n", 0), "STORED\r\n");
         assert!(run(&store, b"quit\r\n", 0).is_empty());
     }
@@ -564,7 +440,7 @@ mod tests {
             );
         }
         let lines: std::collections::HashMap<String, u64> =
-            store.backend_stat_lines().into_iter().collect();
+            store.shards().backend_stat_lines().into_iter().collect();
         let used = lines["engine_tier_128_used_pages"];
         let total = lines["engine_tier_128_total_pages"];
         assert_eq!(used, 64, "every value takes one 128 B page");
@@ -641,7 +517,7 @@ mod tests {
             })
         };
         for i in 0..24u32 {
-            let guard = store.shards[0].lock();
+            let guard = store.shards.lock(0);
             go_tx.send(i).unwrap();
             // Give the worker time to attempt (and lose) its try_lock.
             std::thread::sleep(std::time::Duration::from_millis(1));
@@ -677,6 +553,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(store.len(), 1200);
+        assert_eq!(store.shards().len(), 1200);
     }
 }

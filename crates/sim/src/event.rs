@@ -5,48 +5,13 @@
 //!
 //! [`EventQueue`] is backed by the hierarchical timer wheel
 //! ([`crate::wheel::TimerWheel`]): amortized O(1) push/pop with
-//! slab-stored payloads. [`HeapQueue`] is the original binary-heap
-//! implementation, kept as the executable specification — the
-//! differential property tests drive both with the same workload and
-//! require bit-identical pop sequences, stats, and peeks.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! slab-stored payloads. The original binary-heap queue lives on as the
+//! executable specification in `tests/wheel_differential.rs`, whose
+//! property tests drive both with the same workload and require
+//! bit-identical pop sequences, stats, and peeks.
 
 use crate::time::{Duration, SimTime};
 use crate::wheel::TimerWheel;
-
-/// An entry in the reference heap queue: payload `E` due at a time.
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// Lifetime statistics of an [`EventQueue`] — the scheduler-side gauges
 /// the telemetry layer snapshots (event backlog, churn).
@@ -139,85 +104,6 @@ impl<E> EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, kept as the reference
-/// implementation for the wheel's differential tests: same API, same
-/// `(time, FIFO seq)` order, same stats semantics.
-#[derive(Debug, Clone)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    popped: u64,
-    peak_len: usize,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            popped: 0,
-            peak_len: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.peak_len = self.peak_len.max(self.heap.len());
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = self.heap.pop().map(|e| (e.time, e.event));
-        if popped.is_some() {
-            self.popped += 1;
-        }
-        popped
-    }
-
-    /// Lifetime push/pop/backlog statistics ([`QueueStats`]).
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            pushed: self.next_seq,
-            popped: self.popped,
-            peak_len: self.peak_len,
-        }
-    }
-
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events and resets the lifetime statistics,
-    /// mirroring [`EventQueue::clear`].
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.popped = 0;
-        self.peak_len = 0;
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        HeapQueue::new()
     }
 }
 
@@ -409,12 +295,6 @@ mod tests {
         q.push(SimTime::from_ps(3), 7);
         assert_eq!(q.stats().pushed, 1);
         assert_eq!(q.pop(), Some((SimTime::from_ps(3), 7)));
-
-        let mut h = HeapQueue::new();
-        h.push(SimTime::from_ps(1), 1);
-        h.pop();
-        h.clear();
-        assert_eq!(h.stats(), QueueStats::default());
     }
 
     #[test]

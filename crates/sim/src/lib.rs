@@ -33,7 +33,7 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use event::{EventQueue, HeapQueue, QueueStats, Scheduler};
+pub use event::{EventQueue, QueueStats, Scheduler};
 pub use rng::{SplitMix64, SplitRng, UniformSource};
 pub use time::{Duration, SimTime};
 pub use wheel::{EventId, TimerWheel};

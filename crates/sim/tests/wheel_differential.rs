@@ -4,8 +4,103 @@
 //! lengths all bit-equal under arbitrary push/pop interleavings,
 //! including same-timestamp floods and pushes below the cursor horizon.
 
-use densekv_sim::{EventQueue, HeapQueue, SimTime};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use densekv_sim::{EventQueue, QueueStats, SimTime};
 use proptest::prelude::*;
+
+/// An entry in the reference heap queue: payload `E` due at a time.
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest event pops first.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The original `BinaryHeap`-backed event queue, the executable
+/// specification of [`EventQueue`]: same API, same `(time, FIFO seq)`
+/// order, same stats semantics.
+struct HeapQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+    popped: u64,
+    peak_len: usize,
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            popped: 0,
+            peak_len: 0,
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
+        self.peak_len = self.peak_len.max(self.heap.len());
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let popped = self.heap.pop().map(|e| (e.time, e.event));
+        if popped.is_some() {
+            self.popped += 1;
+        }
+        popped
+    }
+
+    fn stats(&self) -> QueueStats {
+        QueueStats {
+            pushed: self.next_seq,
+            popped: self.popped,
+            peak_len: self.peak_len,
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Drops all pending events and resets the lifetime statistics,
+    /// mirroring [`EventQueue::clear`].
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.next_seq = 0;
+        self.popped = 0;
+        self.peak_len = 0;
+    }
+}
 
 /// One scripted queue operation.
 #[derive(Debug, Clone)]
@@ -158,4 +253,25 @@ fn thousand_tie_flood_exact_order() {
     assert_eq!(popped, 1011);
     assert_eq!(wheel.stats(), heap.stats());
     assert_eq!(wheel.stats().peak_len, 1011);
+}
+
+/// `clear` returns both queues to a fresh queue's state, stats
+/// included, and they keep agreeing afterwards.
+#[test]
+fn clear_resets_both_queues_to_fresh() {
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapQueue::new();
+    for i in 0..10u64 {
+        wheel.push(SimTime::from_ps(i), i);
+        heap.push(SimTime::from_ps(i), i);
+    }
+    assert_eq!(wheel.pop(), heap.pop());
+    wheel.clear();
+    heap.clear();
+    assert_eq!(heap.stats(), QueueStats::default());
+    assert_eq!(wheel.stats(), heap.stats());
+    wheel.push(SimTime::from_ps(3), 7);
+    heap.push(SimTime::from_ps(3), 7);
+    assert_eq!(wheel.pop(), heap.pop());
+    assert_eq!(wheel.stats(), heap.stats());
 }
