@@ -39,6 +39,8 @@
 pub mod backend;
 pub mod binary;
 pub mod client;
+#[cfg(test)]
+mod concurrent;
 pub mod hash;
 pub mod lru;
 pub mod protocol;

@@ -203,4 +203,51 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn stripes_split_the_budget() {
+        for stripes in [1, 4, 8] {
+            let store = Striped::new(StoreConfig::with_capacity(8 << 20), stripes, |c| {
+                Box::new(KvStore::new(c))
+            });
+            assert_eq!(store.stripe_count(), stripes);
+            let share = KvStore::new(StoreConfig::with_capacity((8 << 20) / stripes as u64))
+                .capacity_bytes();
+            for stripe in 0..stripes {
+                assert_eq!(
+                    store.lock(stripe).capacity_bytes(),
+                    share,
+                    "stripe {stripe}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_land_all_keys() {
+        let store = Striped::new(StoreConfig::with_capacity(16 << 20), 4, |c| {
+            Box::new(KvStore::new(c))
+        });
+        std::thread::scope(|scope| {
+            for t in 0..4u8 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..250u32 {
+                        let key = format!("t{t}-key{i}");
+                        store
+                            .lock(store.stripe_of(key.as_bytes()))
+                            .set(key.as_bytes(), vec![t; 64], None, 0)
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(store.len(), 1000);
+        let stripe = store.stripe_of(b"t3-key249");
+        let copy = store
+            .lock(stripe)
+            .get(b"t3-key249", 0)
+            .map(|hit| hit.value().to_vec());
+        assert_eq!(copy, Some(vec![3u8; 64]));
+    }
 }
